@@ -513,9 +513,6 @@ def _run_serve(spec: ExperimentSpec, allocator: AllocatorSpec) -> ExperimentResu
             faults=serving.faults, retry=serving.retry,
             memory_tiers=serving.memory_tiers,
         )
-        outcome = ExperimentResult.from_serve_disagg(
-            result, slo=serving.slo(), label=allocator.label,
-            streaming=serving.streaming)
     elif serving.replicas > 1:
         result = run_serving_cluster(
             stream, serving.model, n_replicas=serving.replicas,
@@ -526,9 +523,6 @@ def _run_serve(spec: ExperimentSpec, allocator: AllocatorSpec) -> ExperimentResu
             faults=serving.faults, retry=serving.retry,
             memory_tiers=serving.memory_tiers,
         )
-        outcome = ExperimentResult.from_serve_cluster(
-            result, slo=serving.slo(), label=allocator.label,
-            streaming=serving.streaming)
     else:
         result = run_serving(
             stream, serving.model, allocator=allocator,
@@ -538,9 +532,9 @@ def _run_serve(spec: ExperimentSpec, allocator: AllocatorSpec) -> ExperimentResu
             faults=serving.faults, retry=serving.retry,
             memory_tiers=serving.memory_tiers,
         )
-        outcome = ExperimentResult.from_serving(
-            result, slo=serving.slo(), label=allocator.label,
-            streaming=serving.streaming)
+    outcome = ExperimentResult.from_serving(
+        result, slo=serving.slo(), label=allocator.label,
+        streaming=serving.streaming)
     if recorder is not None:
         sink = TraceSpec.parse(serving.trace).build()
         if len(spec.allocators) > 1:

@@ -181,69 +181,42 @@ class ExperimentResult:
     @classmethod
     def from_serving(cls, result, slo=None, label: str = "",
                      streaming: bool = False) -> "ExperimentResult":
-        """Adapt a single-replica :class:`ServingResult`; the result's
-        own :class:`RunResult` surface is extended with the SLO metrics
-        only a report (which needs an :class:`SloConfig`) can compute.
+        """Adapt a serving result: one replica's
+        :class:`~repro.serve.simulator.ServingResult` (mode ``serve``), a
+        fleet's :class:`~repro.serve.cluster.ServeClusterResult`
+        (``serve-cluster``) or a
+        :class:`~repro.serve.disagg.DisaggServingResult`
+        (``serve-disagg``).
+
+        The result's own :class:`RunResult` surface is extended with the
+        SLO metrics only a report (which needs an :class:`SloConfig`)
+        can compute — fleet-wide for a fleet, whose memory headlines are
+        worst-replica — plus, when disaggregated, the per-phase TTFT
+        attribution (mean prefill-queue and decode-queue wait).
         ``streaming=True`` computes report percentiles from t-digest
-        sketches instead of materialized sample lists."""
+        sketches instead of materialized sample lists.
+        """
+        from repro.serve.cluster import ServeClusterResult
+        from repro.serve.disagg import DisaggServingResult
+
         report = result.report(slo, streaming=streaming)
+        extras = {**result.extras(), **_slo_extras(report)}
+        mode = "serve"
+        if isinstance(result, DisaggServingResult):
+            mode = "serve-disagg"
+            extras["prefill_wait_s"] = report.prefill_wait_s
+            extras["decode_wait_s"] = report.decode_wait_s
+        elif isinstance(result, ServeClusterResult):
+            mode = "serve-cluster"
         return cls(
             allocator_name=label or result.allocator_name,
-            mode="serve",
+            mode=mode,
             peak_active_bytes=result.peak_active_bytes,
             peak_reserved_bytes=result.peak_reserved_bytes,
             throughput=result.throughput,
             oom=result.oom,  # serving preempts instead of crashing
             raw=result,
-            _extras={**result.extras(), **_slo_extras(report)},
-        )
-
-    @classmethod
-    def from_serve_cluster(cls, result, slo=None, label: str = "",
-                           streaming: bool = False) -> "ExperimentResult":
-        """Adapt a multi-replica :class:`ServeClusterResult`.
-
-        Memory headlines are worst-replica, SLO metrics fleet-wide.
-        ``streaming=True`` merges per-replica accumulators instead of
-        reporting over the merged request list.
-        """
-        report = result.report(slo, streaming=streaming)
-        return cls(
-            allocator_name=label or result.allocator_name,
-            mode="serve-cluster",
-            peak_active_bytes=result.peak_active_bytes,
-            peak_reserved_bytes=result.peak_reserved_bytes,
-            throughput=result.throughput,
-            oom=result.oom,
-            raw=result,
-            _extras={**result.extras(), **_slo_extras(report)},
-        )
-
-    @classmethod
-    def from_serve_disagg(cls, result, slo=None, label: str = "",
-                          streaming: bool = False) -> "ExperimentResult":
-        """Adapt a :class:`~repro.serve.disagg.DisaggServingResult`.
-
-        Memory headlines are worst-replica across both fleets; SLO
-        metrics cover the merged original-request population, extended
-        with the per-phase TTFT attribution (mean prefill-queue and
-        decode-queue wait) only a disaggregated run can report.
-        """
-        report = result.report(slo, streaming=streaming)
-        return cls(
-            allocator_name=label or result.allocator_name,
-            mode="serve-disagg",
-            peak_active_bytes=result.peak_active_bytes,
-            peak_reserved_bytes=result.peak_reserved_bytes,
-            throughput=result.throughput,
-            oom=result.oom,
-            raw=result,
-            _extras={
-                **result.extras(),
-                **_slo_extras(report),
-                "prefill_wait_s": report.prefill_wait_s,
-                "decode_wait_s": report.decode_wait_s,
-            },
+            _extras=extras,
         )
 
 

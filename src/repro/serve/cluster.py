@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import copy
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.api.result import WorstMemberRunResult
@@ -31,7 +32,8 @@ from repro.serve.metrics import ServingReport, ServingReportAccumulator, SloConf
 from repro.serve.preemption import PreemptionLike, PreemptionPolicy
 from repro.serve.request import ServeRequest
 from repro.serve.scheduler import SchedulerLike
-from repro.serve.simulator import ServingConfig, ServingResult, ServingSimulator
+from repro.serve.simulator import (ServingConfig, ServingResult,
+                                   ServingSimulator, ServingSurface)
 from repro.sim.engine import AllocatorFactory
 from repro.units import A100_80GB
 from repro.workloads.models import ModelSpec, get_model
@@ -162,22 +164,28 @@ def dispatch_requests(
 
 
 @dataclass
-class ServeClusterResult(WorstMemberRunResult):
-    """Aggregated outcome of one multi-replica serving run."""
+class ServeClusterResult(ServingSurface, WorstMemberRunResult):
+    """Aggregated outcome of one multi-replica serving run.
+
+    The counts, ``throughput`` and the head of ``extras()`` come from
+    :class:`~repro.serve.simulator.ServingSurface` over the merged
+    population; memory headlines are worst-replica.  Subclass fields
+    tagged ``metadata={"extra": key}`` also report in ``extras()``.
+    """
 
     replicas: List[ServingResult] = field(default_factory=list)
     autoscaler_name: str = "none"
     #: Front-end autoscaling change points: (arrival_s, active count).
     active_replica_points: List[Tuple[float, int]] = field(
         default_factory=list)
-    _merged: Optional[List[ServeRequest]] = field(default=None, init=False,
-                                                  repr=False, compare=False)
+    #: How :meth:`summary` names the fleet ("" = "N replicas").
+    topology: str = ""
 
     @property
     def n_replicas(self) -> int:
         return len(self.replicas)
 
-    @property
+    @cached_property
     def requests(self) -> List[ServeRequest]:
         """The merged request population, in arrival order.
 
@@ -186,11 +194,9 @@ class ServeClusterResult(WorstMemberRunResult):
         shard — so an n-way ``heapq.merge`` replaces a full re-sort,
         and the merge is computed once per result.
         """
-        if self._merged is None:
-            self._merged = list(heapq.merge(
-                *(replica.requests for replica in self.replicas),
-                key=lambda r: (r.arrival_s, r.req_id)))
-        return self._merged
+        return list(heapq.merge(
+            *(replica.requests for replica in self.replicas),
+            key=lambda r: (r.arrival_s, r.req_id)))
 
     @property
     def makespan_s(self) -> float:
@@ -213,24 +219,22 @@ class ServeClusterResult(WorstMemberRunResult):
         return self.replicas
 
     @property
-    def throughput(self) -> float:
-        """Fleet-wide completed requests per second of makespan."""
-        done = sum(r.completed for r in self.replicas)
-        return done / max(self.makespan_s, 1e-9)
-
-    @property
-    def oom(self) -> bool:
-        return False
-
-    @property
     def kv_cache_name(self) -> str:
         """The fleet's (uniform) KV-cache model name."""
         return self.replicas[0].kv_cache_name if self.replicas else "chunked"
 
     @property
     def preemption_name(self) -> str:
-        """The fleet's (uniform) preemption policy name."""
-        return self.replicas[0].preemption_name if self.replicas else "recompute"
+        """The policy that re-admits preempted work: uniform across a
+        colocated fleet, the decode fleet's (listed last) when
+        disaggregated."""
+        return (self.replicas[-1].preemption_name if self.replicas
+                else "recompute")
+
+    @property
+    def memory_tiers(self) -> str:
+        """The fleet's (uniform) tier hierarchy ("" = none)."""
+        return self.replicas[0].memory_tiers if self.replicas else ""
 
     @property
     def active_replicas(self) -> int:
@@ -263,37 +267,14 @@ class ServeClusterResult(WorstMemberRunResult):
 
     def extras(self) -> Dict[str, object]:
         """Fleet-specific metrics beyond the shared surface."""
-        out: Dict[str, object] = {
-            "n_replicas": self.n_replicas,
-            "completed": sum(r.completed for r in self.replicas),
-            "rejected": sum(r.rejected for r in self.replicas),
-            "preemptions": sum(r.preemptions for r in self.replicas),
-            "makespan_s": self.makespan_s,
-            "kv_cache": self.kv_cache_name,
-            "preemption": self.preemption_name,
-        }
+        out: Dict[str, object] = {"n_replicas": self.n_replicas}
+        out.update(super().extras())
         if self.autoscaler_name != "none":
             out["autoscaler"] = self.autoscaler_name
             out["active_replicas"] = self.active_replicas
-        retries = sum(r.retries for r in self.replicas)
-        failed = sum(r.failed for r in self.replicas)
-        if retries:
-            out["retries"] = retries
-        if failed:
-            out["failed"] = failed
-        merged = self.kv_metrics
-        if merged is not None:
-            out["kv_internal_frag"] = round(merged.internal_frag_ratio, 3)
-            if merged.swapped_bytes:
-                out["swapped_mb"] = round(merged.swapped_bytes / (1 << 20), 1)
-            if merged.migrated_bytes:
-                out["migrated_mb"] = round(
-                    merged.migrated_bytes / (1 << 20), 1)
-            if merged.demoted_bytes:
-                out["demoted_mb"] = round(
-                    sum(merged.demoted_bytes.values()) / (1 << 20), 1)
-                out["promoted_mb"] = round(
-                    sum(merged.promoted_bytes.values()) / (1 << 20), 1)
+        for f in fields(self):
+            if "extra" in f.metadata:
+                out[f.metadata["extra"]] = getattr(self, f.name)
         return out
 
     @property
@@ -313,141 +294,207 @@ class ServeClusterResult(WorstMemberRunResult):
         merged request list (percentiles come from merged t-digest
         sketches, within sketch tolerance of the exact path).
         """
-        metrics = self.kv_metrics
-        migrated_mb = ((metrics.migrated_bytes / (1 << 20))
-                       if metrics is not None else 0.0)
-        if streaming:
-            merged: Optional[ServingReportAccumulator] = None
-            for replica in self.replicas:
-                acc = ServingReportAccumulator(slo)
-                for request in replica.requests:
-                    acc.observe(request)
-                merged = acc if merged is None else merged.merge(acc)
-            if merged is None:
-                merged = ServingReportAccumulator(slo)
-            return merged.report(
-                self.makespan_s,
-                utilization=self.min_utilization,
-                peak_reserved_gb=self.max_peak_reserved_gb,
-                migrated_mb=migrated_mb,
-            )
-        return ServingReport.from_requests(
-            self.requests, self.makespan_s, slo,
-            utilization=self.min_utilization,
-            peak_reserved_gb=self.max_peak_reserved_gb,
-            migrated_mb=migrated_mb,
-        )
+        memory = dict(utilization=self.min_utilization,
+                      peak_reserved_gb=self.max_peak_reserved_gb,
+                      migrated_mb=self.migrated_bytes / (1 << 20))
+        if not streaming:
+            return ServingReport.from_requests(
+                self.requests, self.makespan_s, slo, **memory)
+        merged: Optional[ServingReportAccumulator] = None
+        for replica in self.replicas:
+            acc = ServingReportAccumulator(slo)
+            for request in replica.requests:
+                acc.observe(request)
+            merged = acc if merged is None else merged.merge(acc)
+        if merged is None:
+            merged = ServingReportAccumulator(slo)
+        return merged.report(self.makespan_s, **memory)
 
     def summary(self) -> str:
         """One-line fleet report."""
-        report = self.report()
-        return f"{self.n_replicas} replicas: {report.summary()}"
+        topology = self.topology or f"{self.n_replicas} replicas"
+        return f"{topology}: {self.report().summary()}"
 
 
-def _co_simulate(
-    sims: List[ServingSimulator],
-    calendar: Optional[DownCalendar],
-    retry_policy,
-    trace: Optional[TraceRecorder],
-) -> None:
-    """Advance a fleet of *started* simulators on interleaved clocks.
+class FleetEngine:
+    """The one fleet engine: steps replicas off a ``(clock, replica)`` heap.
 
-    The fault-free fleet runs replicas to completion one after another
-    (they never interact).  Under faults they do interact — a crashed
-    replica's work re-enters the dispatcher and lands elsewhere, and a
-    hedging front-end duplicates stragglers onto healthy peers — so
-    this orchestrator single-steps whichever busy replica's clock is
-    furthest behind, keeping every cross-replica hand-off causal: a
-    request re-dispatched at ``ready_s`` is injected before any peer's
-    clock passes ``ready_s``.
+    Replicas must be stepped in clock order only while something can
+    move requests between them.  A fleet is *coupled* when crash
+    windows (``calendar``) fail victims over to peers or the front-end
+    hedges stragglers (``hedge_after_s``); otherwise each replica runs
+    ahead without limit, to completion, in replica order — exactly the
+    order of serving the shards one after another.
 
-    Fleet failover: each simulator's ``_fault_sink`` routes crash
-    victims (and a crashing replica's queued requests) to the healthy
+    Coupled, each :meth:`step` ticks the busy replica with the earliest
+    clock, and keeps ticking it while its key stays below the heap top,
+    so every cross-replica hand-off stays causal: a request re-dispatched
+    at ``ready_s`` is injected before any peer's clock passes ``ready_s``.
+    Keys are validated when popped: a key whose replica has since moved
+    or drained is dead and skipped.  Whatever moves or wakes a replica
+    pushes its fresh key — a tick, a failover or hedge injection, and a
+    hedge loser's cancel (freeing KV charges the loser's replica host
+    time).  So every busy replica's live key is in the heap, and a popped
+    live key is the choice a scan over all replicas would make.
+
+    Fleet failover: crash victims (and a crashing replica's queued
+    requests) re-enter through :meth:`route`, which picks the healthy
     replica with the fewest outstanding requests at the hand-off
     instant, falling back to the full fleet when everything is down.
+    A hedged copy is not re-dispatched; its twin carries on alone.
 
-    Hedging (``retry_policy.hedge_after_s``): after each tick, requests
-    still un-admitted past the hedge deadline are cloned onto the
-    least-loaded healthy *other* replica; the first copy to finish wins
-    and the loser is cancelled (its KV freed, the object withdrawn from
-    its replica's population), so the merged population keeps exactly
-    one record per request.  A loser that already timed out is likewise
-    withdrawn; if both copies reject, the clone is dropped and the
-    original's rejection stands.
+    Hedging: after each tick, requests still un-admitted past the hedge
+    deadline are cloned onto the least-loaded healthy *other* replica;
+    the first copy to finish wins and the loser is cancelled (its KV
+    freed, the object withdrawn from its replica's population), so the
+    merged population keeps exactly one record per request.  A loser
+    that already timed out is likewise withdrawn; if both copies
+    reject, the clone is dropped and the original's rejection stands.
     """
-    n = len(sims)
 
-    def pick(pool: List[int]) -> int:
-        return min(pool, key=lambda j: (sims[j].outstanding, j))
+    def __init__(self, sims: List[ServingSimulator],
+                 calendar: Optional[DownCalendar] = None,
+                 hedge_after_s: Optional[float] = None,
+                 trace: Optional[TraceRecorder] = None):
+        self.sims: List[Optional[ServingSimulator]] = sims
+        self.calendar = calendar
+        self.hedge_after_s = hedge_after_s
+        self.trace = trace
+        self.coupled = calendar is not None or hedge_after_s is not None
+        self._heap: List[Tuple[float, int]] = []
+        self._shards: List[List[ServeRequest]] = []
+        self._results: List[Optional[ServingResult]] = [None] * len(sims)
+        self._hedged: Dict[int, Tuple[ServeRequest, ServeRequest]] = {}
+        if calendar is not None:
+            for sim in sims:
+                sim._fault_sink = self.route
 
-    def healthy(t_s: float, exclude: Optional[int] = None) -> List[int]:
-        return [j for j in range(n)
+    def run(self, shards: List[List[ServeRequest]]) -> List[ServingResult]:
+        """Serve every replica's shard to completion; one result per
+        replica, in replica order."""
+        self._shards = shards
+        # A -1.0 key starts its replica: all of them, in replica order,
+        # before any tick (the list is sorted, hence already a heap).
+        self._heap = [(-1.0, i) for i in range(len(self.sims))]
+        while self.step() is not None:
+            pass
+        return [result if result is not None else sim.finish()
+                for result, sim in zip(self._results, self.sims)]
+
+    def step(self) -> Optional[int]:
+        """Start the next replica, or tick the earliest busy one for as
+        long as it stays earliest; returns its index, or ``None`` once
+        the fleet is drained."""
+        heap, sims = self._heap, self.sims
+        while heap:
+            clock, i = heapq.heappop(heap)
+            sim = sims[i]
+            if clock < 0.0:
+                sim.start(self._shards[i])
+                if self.coupled:
+                    self._wake(i)
+                    return i
+                break
+            if sim.busy and sim.session.elapsed_s == clock:
+                break
+        else:
+            return None
+        while sim.tick():
+            if self.hedge_after_s is not None:
+                self._hedge(i)
+                self._settle()
+            if self.coupled and heap and heap[0] < (sim.session.elapsed_s, i):
+                self._wake(i)
+                break
+        if not self.coupled:
+            # Drained for good: collect the result and drop the replica,
+            # so its memory is free before the next replica starts.
+            self._results[i] = sim.finish()
+            sims[i] = None
+        return i
+
+    def route(self, request: ServeRequest, ready_s: float,
+              failover: bool = False) -> None:
+        """Inject ``request`` at ``ready_s`` into the least-loaded
+        replica healthy then.  Crash victims and failed-over queues
+        route alike (``failover`` is informational).
+
+        A hedged copy is withdrawn instead: its twin carries the
+        request on, and re-dispatching this copy could land both on one
+        replica, whose KV model and timeout heap key by ``req_id``.
+        """
+        del failover
+        if self._hedged.pop(request.req_id, None) is not None:
+            self._cancel(request)
+            return
+        target = self._least_loaded(self._healthy(ready_s)
+                                    or range(len(self.sims)))
+        request.replica = target
+        self._inject(target, request, ready_s)
+
+    def _wake(self, i: int) -> None:
+        """Push replica ``i``'s current key, if it has work."""
+        sim = self.sims[i]
+        if sim.busy:
+            heapq.heappush(self._heap, (sim.session.elapsed_s, i))
+
+    def _inject(self, i: int, request: ServeRequest, ready_s: float) -> None:
+        self.sims[i].inject(request, ready_s)
+        self._wake(i)
+
+    def _least_loaded(self, pool: Iterable[int]) -> int:
+        return min(pool, key=lambda j: (self.sims[j].outstanding, j))
+
+    def _healthy(self, t_s: float, exclude: Optional[int] = None) -> List[int]:
+        calendar = self.calendar
+        return [j for j in range(len(self.sims))
                 if j != exclude
                 and (calendar is None or not calendar.down_at(j, t_s))]
 
-    def redispatch(request: ServeRequest, ready_s: float,
-                   failover: bool) -> None:
-        del failover  # routing is identical for victims and drained queues
-        pool = healthy(ready_s) or list(range(n))
-        target = pick(pool)
-        request.replica = target
-        sims[target].inject(request, ready_s)
-
-    for sim in sims:
-        sim._fault_sink = redispatch
-
-    after_s = retry_policy.hedge_after_s
-    hedged: Dict[int, Tuple[ServeRequest, ServeRequest]] = {}
-
-    def consider_hedges(i: int) -> None:
-        sim = sims[i]
+    def _hedge(self, i: int) -> None:
+        sim = self.sims[i]
         now = sim.session.elapsed_s
         for request in list(sim._queue):
-            # Hedge each request at most once, only while it has never
-            # been admitted anywhere (a clean clone carries no KV), and
-            # leave crash-retried requests to the retry path.
-            if (request.req_id in hedged or request.admitted_s is not None
-                    or request.retries or now - request.arrival_s < after_s):
+            # Hedge a request only while no twin of it is live and it
+            # has never been admitted anywhere (a clean clone carries no
+            # KV), and leave crash-retried requests to the retry path.
+            if (request.req_id in self._hedged
+                    or request.admitted_s is not None or request.retries
+                    or now - request.arrival_s < self.hedge_after_s):
                 continue
-            pool = healthy(now, exclude=i)
+            pool = self._healthy(now, exclude=i)
             if not pool:
                 continue
-            target = pick(pool)
+            target = self._least_loaded(pool)
             clone = copy.copy(request)
             clone.kv_name = None
             clone.kv_capacity_tokens = 0
             clone.kv_generation = 0
             clone.replica = target
-            hedged[request.req_id] = (request, clone)
-            if trace is not None:
-                trace.request_event("hedge", clone, now, source=i,
-                                    target=target)
-            sims[target].inject(clone, now)
+            self._hedged[request.req_id] = (request, clone)
+            if self.trace is not None:
+                self.trace.request_event("hedge", clone, now, source=i,
+                                         target=target)
+            self._inject(target, clone, now)
 
-    def settle_hedges() -> None:
-        for req_id, (original, clone) in list(hedged.items()):
+    def _settle(self) -> None:
+        for req_id, (original, clone) in list(self._hedged.items()):
             for winner, loser in ((original, clone), (clone, original)):
                 if winner.finished:
                     if not loser.finished:
-                        sims[loser.replica].cancel(loser)
-                    del hedged[req_id]
+                        self._cancel(loser)
+                    del self._hedged[req_id]
                     break
             else:
                 if original.rejected and clone.rejected:
                     # Both copies lost; keep the original's rejection
                     # as the request's one record.
-                    sims[clone.replica].cancel(clone)
-                    del hedged[req_id]
+                    self._cancel(clone)
+                    del self._hedged[req_id]
 
-    while True:
-        busy = [i for i in range(n) if sims[i].busy]
-        if not busy:
-            break
-        i = min(busy, key=lambda j: (sims[j].session.elapsed_s, j))
-        sims[i].tick()
-        if after_s is not None:
-            consider_hedges(i)
-            settle_hedges()
+    def _cancel(self, request: ServeRequest) -> None:
+        self.sims[request.replica].cancel(request)
+        self._wake(request.replica)
 
 
 def run_serving_cluster(
@@ -481,13 +528,11 @@ def run_serving_cluster(
     the whole fleet as separate processes.
 
     ``faults`` / ``retry`` (see :mod:`repro.serve.faults`) inject
-    replica failures and drive the recovery policy.  With both at
-    ``"none"`` the fleet runs the original sequential path, bit for
-    bit.  Otherwise dispatch becomes health-aware (crashed replicas
-    are routed around), replicas are co-simulated on interleaved
-    clocks, crash victims fail over to healthy peers through the
-    front-end, and ``hedge`` duplicates stragglers across replicas
-    (see :func:`_co_simulate`).
+    replica failures and drive the recovery policy.  Crash windows make
+    dispatch health-aware (crashed replicas are routed around) and fail
+    crash victims over to healthy peers; ``hedge`` duplicates
+    stragglers across replicas.  Either couples the replicas, and the
+    :class:`FleetEngine` then steps them in clock order.
     """
     if isinstance(kv_cache, KVCacheModel):
         raise ValueError(
@@ -506,26 +551,12 @@ def run_serving_cluster(
     scaler = resolve_autoscaler(autoscaler)
     fault_model = resolve_faults(faults)
     retry_policy = resolve_retry(retry)
-    fault_aware = fault_model.name != "none" or retry_policy.name != "none"
     calendar = (DownCalendar(fault_model, n_replicas)
                 if fault_model.has_crashes else None)
     shards = dispatch_requests(requests, n_replicas,
                                drain_tokens_per_s=config.decode_tokens_per_s,
                                autoscaler=scaler, gauges=gauges, trace=trace,
                                down=calendar)
-    result = ServeClusterResult(autoscaler_name=scaler.name)
-    if gauges is not None:
-        result.active_replica_points = list(gauges.active_points)
-    if not fault_aware:
-        for replica_id, shard in enumerate(shards):
-            simulator = ServingSimulator(
-                model, allocator=allocator, capacity=capacity,
-                scheduler=scheduler, config=config, replica_id=replica_id,
-                kv_cache=kv_cache, preemption=preemption, trace=trace,
-                gauges=gauges, memory_tiers=memory_tiers,
-            )
-            result.replicas.append(simulator.run(shard))
-        return result
     sims = [
         ServingSimulator(
             model, allocator=allocator, capacity=capacity,
@@ -536,9 +567,8 @@ def run_serving_cluster(
         )
         for replica_id in range(n_replicas)
     ]
-    for sim, shard in zip(sims, shards):
-        sim.start(shard)
-    _co_simulate(sims, calendar, retry_policy, trace)
-    for sim in sims:
-        result.replicas.append(sim.finish())
-    return result
+    engine = FleetEngine(sims, calendar, retry_policy.hedge_after_s, trace)
+    return ServeClusterResult(
+        replicas=engine.run(shards), autoscaler_name=scaler.name,
+        active_replica_points=(list(gauges.active_points)
+                               if gauges is not None else []))

@@ -37,12 +37,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
-from repro.api.result import WorstMemberRunResult
 from repro.api.spec import AllocatorLike
-from repro.obs.gauges import GaugePoint, GaugeSampler
+from repro.obs.gauges import GaugeSampler
 from repro.obs.trace import TraceRecorder
 from repro.serve.autoscale import AutoscalerLike, resolve_autoscaler
-from repro.serve.cluster import dispatch_requests
+from repro.serve.cluster import (
+    FleetEngine,
+    ServeClusterResult,
+    dispatch_requests,
+)
 from repro.serve.faults import (
     FaultsLike,
     RetryLike,
@@ -54,7 +57,7 @@ from repro.serve.interconnect import (
     InterconnectLike,
     resolve_interconnect,
 )
-from repro.serve.kvcache import KVCacheLike, KVCacheMetrics, KVCacheModel
+from repro.serve.kvcache import KVCacheLike, KVCacheModel
 from repro.serve.metrics import (
     ServingReport,
     ServingReportAccumulator,
@@ -65,7 +68,7 @@ from repro.serve.preemption import (
     PreemptionPolicy,
     resolve_preemption,
 )
-from repro.serve.request import RequestState, ServeRequest
+from repro.serve.request import ServeRequest
 from repro.serve.scheduler import SchedulerLike
 from repro.serve.simulator import (
     ServingConfig,
@@ -171,17 +174,26 @@ class _DecodeImportPolicy(PreemptionPolicy):
 
 
 @dataclass
-class DisaggServingResult(WorstMemberRunResult):
-    """Aggregated outcome of one disaggregated prefill/decode run."""
+class DisaggServingResult(ServeClusterResult):
+    """Aggregated outcome of one disaggregated prefill/decode run.
 
-    prefill_results: List[ServingResult] = field(default_factory=list)
-    decode_results: List[ServingResult] = field(default_factory=list)
-    #: The original requests with both phases' lifecycles merged on.
+    ``replicas`` lists the prefill fleet first, then the decode fleet;
+    everything else but the population is the fleet surface of
+    :class:`~repro.serve.cluster.ServeClusterResult`.
+    """
+
+    #: The original requests with both phases' lifecycles merged on
+    #: (each replica only ever saw one phase's clones).  The instance
+    #: attribute shadows the fleet's merged-population property.
     requests: List[ServeRequest] = field(default_factory=list)
-    interconnect_name: str = "pcie"
-    autoscaler_name: str = "none"
+    n_prefill_replicas: int = field(
+        default=0, metadata={"extra": "prefill_replicas"})
+    n_decode_replicas: int = field(
+        default=0, metadata={"extra": "decode_replicas"})
+    interconnect_name: str = field(
+        default="pcie", metadata={"extra": "interconnect"})
     #: Requests whose KV crossed the interconnect.
-    migrations: int = 0
+    migrations: int = field(default=0, metadata={"extra": "migrations"})
     #: Exported KV parcels never imported nor rolled back — always 0
     #: for a completed run (the no-leak invariant tests pin).
     pending_imports: int = 0
@@ -191,143 +203,13 @@ class DisaggServingResult(WorstMemberRunResult):
     decode_fleet_points: List[Tuple[float, int]] = field(
         default_factory=list)
 
-    # ------------------------------------------------------------------
     @property
-    def replicas(self) -> List[ServingResult]:
-        """Every replica's result, prefill fleet first."""
-        return self.prefill_results + self.decode_results
+    def prefill_results(self) -> List[ServingResult]:
+        return self.replicas[:self.n_prefill_replicas]
 
     @property
-    def n_prefill_replicas(self) -> int:
-        return len(self.prefill_results)
-
-    @property
-    def n_decode_replicas(self) -> int:
-        return len(self.decode_results)
-
-    @property
-    def makespan_s(self) -> float:
-        """The run finishes when its slowest replica (either fleet)
-        does."""
-        return max((r.makespan_s for r in self.replicas), default=0.0)
-
-    @property
-    def min_utilization(self) -> float:
-        return min(r.utilization for r in self.replicas)
-
-    @property
-    def max_peak_reserved_gb(self) -> float:
-        return max(r.peak_reserved_gb for r in self.replicas)
-
-    # -- the :class:`repro.api.RunResult` shared surface ---------------
-    def _result_members(self) -> List[ServingResult]:
-        return self.replicas
-
-    @property
-    def completed(self) -> int:
-        return sum(1 for r in self.requests if r.finished)
-
-    @property
-    def rejected(self) -> int:
-        return sum(1 for r in self.requests if r.rejected)
-
-    @property
-    def preemptions(self) -> int:
-        return sum(r.preemptions for r in self.requests)
-
-    @property
-    def retries(self) -> int:
-        """Crash-forced re-dispatches, summed over both phases."""
-        return sum(r.retries for r in self.requests)
-
-    @property
-    def failed(self) -> int:
-        """Requests rejected permanently by replica faults."""
-        return sum(1 for r in self.requests
-                   if r.reject_reason == "failed")
-
-    @property
-    def throughput(self) -> float:
-        """Completed original requests per second of makespan."""
-        return self.completed / max(self.makespan_s, 1e-9)
-
-    @property
-    def oom(self) -> bool:
-        return False
-
-    @property
-    def kv_cache_name(self) -> str:
-        return (self.replicas[0].kv_cache_name if self.replicas
-                else "chunked")
-
-    @property
-    def preemption_name(self) -> str:
-        """The decode fleet's (inner) preemption policy name."""
-        return (self.decode_results[0].preemption_name
-                if self.decode_results else "recompute")
-
-    @property
-    def kv_metrics(self) -> Optional[KVCacheMetrics]:
-        """KV metrics merged across both fleets (cluster semantics:
-        counters sum, peaks sum per-replica peaks)."""
-        merged: Optional[KVCacheMetrics] = None
-        for replica in self.replicas:
-            metrics = replica.kv_metrics
-            if metrics is None:
-                continue
-            if merged is None:
-                merged = KVCacheMetrics(kv_cache=metrics.kv_cache,
-                                        block_tokens=metrics.block_tokens)
-            merged.merge_from(metrics)
-        return merged
-
-    @property
-    def migrated_bytes(self) -> int:
-        """KV bytes moved over the interconnect (both directions)."""
-        metrics = self.kv_metrics
-        return metrics.migrated_bytes if metrics is not None else 0
-
-    def extras(self) -> Dict[str, object]:
-        """Disagg-specific metrics beyond the shared surface."""
-        out: Dict[str, object] = {
-            "prefill_replicas": self.n_prefill_replicas,
-            "decode_replicas": self.n_decode_replicas,
-            "interconnect": self.interconnect_name,
-            "completed": self.completed,
-            "rejected": self.rejected,
-            "preemptions": self.preemptions,
-            "migrations": self.migrations,
-            "makespan_s": self.makespan_s,
-            "kv_cache": self.kv_cache_name,
-            "preemption": self.preemption_name,
-        }
-        if self.autoscaler_name != "none":
-            out["autoscaler"] = self.autoscaler_name
-        if self.retries:
-            out["retries"] = self.retries
-        if self.failed:
-            out["failed"] = self.failed
-        merged = self.kv_metrics
-        if merged is not None:
-            out["kv_internal_frag"] = round(merged.internal_frag_ratio, 3)
-            if merged.swapped_bytes:
-                out["swapped_mb"] = round(merged.swapped_bytes / (1 << 20), 1)
-            if merged.migrated_bytes:
-                out["migrated_mb"] = round(
-                    merged.migrated_bytes / (1 << 20), 1)
-            if merged.demoted_bytes:
-                out["demoted_mb"] = round(
-                    sum(merged.demoted_bytes.values()) / (1 << 20), 1)
-                out["promoted_mb"] = round(
-                    sum(merged.promoted_bytes.values()) / (1 << 20), 1)
-        return out
-
-    @property
-    def gauge_points(self) -> List[GaugePoint]:
-        """Every replica's gauge samples, merged in time order."""
-        return sorted((point for replica in self.replicas
-                       for point in replica.gauges),
-                      key=lambda p: (p.t_s, p.replica))
+    def decode_results(self) -> List[ServingResult]:
+        return self.replicas[self.n_prefill_replicas:]
 
     def report(self, slo: Optional[SloConfig] = None,
                streaming: bool = False) -> ServingReport:
@@ -336,32 +218,20 @@ class DisaggServingResult(WorstMemberRunResult):
         TTFT spans both phases (arrival → prefill first token) and the
         report carries its per-phase queue-wait attribution
         (``prefill_wait_s`` / ``decode_wait_s``) plus ``migrated_mb``.
+        ``streaming=True`` folds the originals into one accumulator
+        (a replica's population holds clones, not originals).
         """
-        metrics = self.kv_metrics
-        migrated_mb = ((metrics.migrated_bytes / (1 << 20))
-                       if metrics is not None else 0.0)
-        if streaming:
-            acc = ServingReportAccumulator(slo)
-            for request in self.requests:
-                acc.observe(request)
-            return acc.report(
-                self.makespan_s,
-                utilization=self.min_utilization,
-                peak_reserved_gb=self.max_peak_reserved_gb,
-                migrated_mb=migrated_mb,
-            )
-        return ServingReport.from_requests(
-            self.requests, self.makespan_s, slo,
+        if not streaming:
+            return super().report(slo)
+        acc = ServingReportAccumulator(slo)
+        for request in self.requests:
+            acc.observe(request)
+        return acc.report(
+            self.makespan_s,
             utilization=self.min_utilization,
             peak_reserved_gb=self.max_peak_reserved_gb,
-            migrated_mb=migrated_mb,
+            migrated_mb=self.migrated_bytes / (1 << 20),
         )
-
-    def summary(self) -> str:
-        """One-line topology + SLO report."""
-        report = self.report()
-        return (f"{self.n_prefill_replicas}P+{self.n_decode_replicas}D "
-                f"over {self.interconnect_name}: {report.summary()}")
 
 
 def run_serving_disagg(
@@ -447,12 +317,10 @@ def run_serving_disagg(
         drain_tokens_per_s=config.prefill_tokens_per_s,
         autoscaler=prefill_scaler, gauges=gauges, trace=trace,
         fleet="prefill")
-    result = DisaggServingResult(
-        interconnect_name=link.name,
-        autoscaler_name=prefill_scaler.name,
-    )
-    for replica_id, shard in enumerate(prefill_shards):
-        simulator = _PrefillSimulator(
+    # Recovery is local on this topology, so neither fleet is coupled:
+    # the engine serves each replica's shard in turn.
+    prefill_results = FleetEngine([
+        _PrefillSimulator(
             model, allocator=allocator, capacity=capacity,
             scheduler=scheduler, config=config, replica_id=replica_id,
             kv_cache=kv_cache, preemption=preemption, trace=trace,
@@ -461,8 +329,9 @@ def run_serving_disagg(
             interconnect=link,
             needs_decode=needs_decode, exported=in_flight,
         )
-        result.prefill_results.append(simulator.run(shard))
-    result.migrations = len(in_flight)
+        for replica_id in range(prefill_replicas)
+    ]).run(prefill_shards)
+    migrations = len(in_flight)
 
     # ---- phase 2: the decode fleet -----------------------------------
     decode_clones = []
@@ -482,19 +351,19 @@ def run_serving_disagg(
         drain_tokens_per_s=config.decode_tokens_per_s,
         autoscaler=decode_scaler, gauges=gauges, trace=trace,
         fleet="decode")
-    for offset, shard in enumerate(decode_shards):
-        policy = _DecodeImportPolicy(
-            resolve_preemption(preemption), link, in_flight)
-        simulator = ServingSimulator(
+    decode_results = FleetEngine([
+        ServingSimulator(
             model, allocator=allocator, capacity=capacity,
             scheduler=scheduler, config=config,
             replica_id=prefill_replicas + offset,
-            kv_cache=kv_cache, preemption=policy, trace=trace,
-            gauges=gauges, faults=fault_model, retry=retry_policy,
-            memory_tiers=memory_tiers,
+            kv_cache=kv_cache,
+            preemption=_DecodeImportPolicy(
+                resolve_preemption(preemption), link, in_flight),
+            trace=trace, gauges=gauges, faults=fault_model,
+            retry=retry_policy, memory_tiers=memory_tiers,
         )
-        result.decode_results.append(simulator.run(shard))
-    result.pending_imports = len(in_flight)
+        for offset in range(decode_replicas)
+    ]).run(decode_shards)
 
     # ---- merge both phases back onto the originals -------------------
     prefill_by_id = {c.req_id: c for c in prefill_clones}
@@ -532,8 +401,19 @@ def run_serving_disagg(
         original.rejected_s = decode.rejected_s
         original.reject_reason = decode.reject_reason
         original.failed_s = decode.failed_s
-    result.requests = originals
-    if gauges is not None:
-        result.prefill_fleet_points = gauges.fleet_series("prefill")
-        result.decode_fleet_points = gauges.fleet_series("decode")
-    return result
+    return DisaggServingResult(
+        replicas=prefill_results + decode_results,
+        autoscaler_name=prefill_scaler.name,
+        topology=(f"{prefill_replicas}P+{decode_replicas}D "
+                  f"over {link.name}"),
+        requests=originals,
+        n_prefill_replicas=prefill_replicas,
+        n_decode_replicas=decode_replicas,
+        interconnect_name=link.name,
+        migrations=migrations,
+        pending_imports=len(in_flight),
+        prefill_fleet_points=(gauges.fleet_series("prefill")
+                              if gauges is not None else []),
+        decode_fleet_points=(gauges.fleet_series("decode")
+                             if gauges is not None else []),
+    )

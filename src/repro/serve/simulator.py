@@ -32,6 +32,7 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Deque, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.allocators.stats import AllocatorStats
@@ -130,8 +131,119 @@ class ServingConfig:
             raise ValueError("token rates must be positive")
 
 
+def kv_extras(metrics: Optional[KVCacheMetrics],
+              memory_tiers: str = "") -> Dict[str, object]:
+    """The KV-cache figures of a serving result's ``extras()`` — one
+    helper for a replica and for fleets, whose ``metrics`` are merged."""
+    out: Dict[str, object] = {}
+    if metrics is not None:
+        out["kv_internal_frag"] = round(metrics.internal_frag_ratio, 3)
+        if metrics.swapped_bytes:
+            out["swapped_mb"] = round(metrics.swapped_bytes / (1 << 20), 1)
+        if metrics.migrated_bytes:
+            out["migrated_mb"] = round(metrics.migrated_bytes / (1 << 20), 1)
+        if metrics.prefix_lookups:
+            out["prefix_hit_rate"] = round(metrics.prefix_hit_rate, 3)
+            out["shared_mb"] = round(metrics.shared_bytes / (1 << 20), 1)
+            out["cow_copy_mb"] = round(metrics.cow_copy_bytes / (1 << 20), 1)
+        if metrics.demoted_bytes:
+            out["demoted_mb"] = round(
+                sum(metrics.demoted_bytes.values()) / (1 << 20), 1)
+            out["promoted_mb"] = round(
+                sum(metrics.promoted_bytes.values()) / (1 << 20), 1)
+            out["demoted_by_tier"] = {
+                tier: round(size / (1 << 20), 1)
+                for tier, size in sorted(metrics.demoted_bytes.items())}
+    if memory_tiers:
+        out["memory_tiers"] = memory_tiers
+    return out
+
+
+class ServingSurface:
+    """The serving half of the :class:`repro.api.RunResult` surface,
+    shared by one replica's result and a fleet's.
+
+    Subclasses provide ``requests`` (their final population),
+    ``makespan_s``, ``kv_metrics``, ``kv_cache_name``,
+    ``preemption_name`` and ``memory_tiers``.
+    """
+
+    @cached_property
+    def _tallies(self) -> Tuple[int, int, int, int, int]:
+        """(completed, rejected, preemptions, retries, failed), once.
+
+        The request population is final when a result is built, and
+        these counts back several derived metrics (throughput, extras,
+        reports) — one pass instead of one scan per property access.
+        """
+        done = rejected = preempted = retried = failed = 0
+        for request in self.requests:
+            done += request.finished
+            rejected += request.rejected
+            preempted += request.preemptions
+            retried += request.retries
+            failed += request.reject_reason == "failed"
+        return done, rejected, preempted, retried, failed
+
+    @property
+    def completed(self) -> int:
+        return self._tallies[0]
+
+    @property
+    def rejected(self) -> int:
+        return self._tallies[1]
+
+    @property
+    def preemptions(self) -> int:
+        return self._tallies[2]
+
+    @property
+    def retries(self) -> int:
+        """Crash-forced re-dispatches summed over the population."""
+        return self._tallies[3]
+
+    @property
+    def failed(self) -> int:
+        """Requests rejected permanently by replica faults."""
+        return self._tallies[4]
+
+    @property
+    def throughput(self) -> float:
+        """Completed requests per second of makespan."""
+        return self.completed / max(self.makespan_s, 1e-9)
+
+    @property
+    def oom(self) -> bool:
+        """Serving preempts instead of crashing; an OOM surfaces as
+        preemptions and rejections, never as a failed run."""
+        return False
+
+    @property
+    def migrated_bytes(self) -> int:
+        """KV bytes moved over an interconnect (both directions)."""
+        metrics = self.kv_metrics
+        return metrics.migrated_bytes if metrics is not None else 0
+
+    def extras(self) -> Dict[str, object]:
+        """Serving-specific metrics beyond the shared surface."""
+        out: Dict[str, object] = {
+            "completed": self.completed,
+            "rejected": self.rejected,
+            "preemptions": self.preemptions,
+            "makespan_s": self.makespan_s,
+            "kv_cache": self.kv_cache_name,
+            "preemption": self.preemption_name,
+        }
+        if self.retries:
+            out["retries"] = self.retries
+        if self.failed:
+            out["failed"] = self.failed
+        out.update(kv_extras(self.kv_metrics, self.memory_tiers))
+        return out
+
+
 @dataclass
-class ServingResult:
+class ServingResult(ServingSurface):
     """Everything one replica measured: per-request lifecycles plus the
     allocator-side statistics the offline engine also reports."""
 
@@ -150,49 +262,6 @@ class ServingResult:
     gauges: List[GaugePoint] = field(default_factory=list)
     #: Canonical tier hierarchy this replica served with ("" = none).
     memory_tiers: str = ""
-    _tallies: "Optional[tuple]" = field(default=None, init=False,
-                                        repr=False, compare=False)
-
-    def _request_tallies(self) -> "tuple":
-        """(completed, rejected, preemptions, retries, failed), once.
-
-        The request population is final when the simulator builds this
-        result, and these counts back several derived metrics
-        (throughput, extras, reports) — one pass instead of one scan
-        per property access.
-        """
-        if self._tallies is None:
-            done = rejected = preempted = retried = failed = 0
-            for request in self.requests:
-                done += request.finished
-                rejected += request.rejected
-                preempted += request.preemptions
-                retried += request.retries
-                failed += request.reject_reason == "failed"
-            self._tallies = (done, rejected, preempted, retried, failed)
-        return self._tallies
-
-    @property
-    def completed(self) -> int:
-        return self._request_tallies()[0]
-
-    @property
-    def rejected(self) -> int:
-        return self._request_tallies()[1]
-
-    @property
-    def preemptions(self) -> int:
-        return self._request_tallies()[2]
-
-    @property
-    def retries(self) -> int:
-        """Crash-forced re-dispatches summed over the population."""
-        return self._request_tallies()[3]
-
-    @property
-    def failed(self) -> int:
-        """Requests rejected permanently by replica faults."""
-        return self._request_tallies()[4]
 
     @property
     def utilization(self) -> float:
@@ -219,60 +288,6 @@ class ServingResult:
     def fragmentation_ratio(self) -> float:
         return self.stats.fragmentation_ratio
 
-    @property
-    def throughput(self) -> float:
-        """Completed requests per second of makespan."""
-        return self.completed / max(self.makespan_s, 1e-9)
-
-    @property
-    def oom(self) -> bool:
-        """Serving preempts instead of crashing; an OOM surfaces as
-        preemptions and rejections, never as a failed run."""
-        return False
-
-    def extras(self) -> Dict[str, object]:
-        """Serving-specific metrics beyond the shared surface."""
-        out: Dict[str, object] = {
-            "completed": self.completed,
-            "rejected": self.rejected,
-            "preemptions": self.preemptions,
-            "makespan_s": self.makespan_s,
-            "kv_cache": self.kv_cache_name,
-            "preemption": self.preemption_name,
-        }
-        if self.retries:
-            out["retries"] = self.retries
-        if self.failed:
-            out["failed"] = self.failed
-        if self.kv_metrics is not None:
-            out["kv_internal_frag"] = round(
-                self.kv_metrics.internal_frag_ratio, 3)
-            if self.kv_metrics.swapped_bytes:
-                out["swapped_mb"] = round(
-                    self.kv_metrics.swapped_bytes / (1 << 20), 1)
-            if self.kv_metrics.migrated_bytes:
-                out["migrated_mb"] = round(
-                    self.kv_metrics.migrated_bytes / (1 << 20), 1)
-            if self.kv_metrics.prefix_lookups:
-                out["prefix_hit_rate"] = round(
-                    self.kv_metrics.prefix_hit_rate, 3)
-                out["shared_mb"] = round(
-                    self.kv_metrics.shared_bytes / (1 << 20), 1)
-                out["cow_copy_mb"] = round(
-                    self.kv_metrics.cow_copy_bytes / (1 << 20), 1)
-            if self.kv_metrics.demoted_bytes:
-                out["demoted_mb"] = round(sum(
-                    self.kv_metrics.demoted_bytes.values()) / (1 << 20), 1)
-                out["promoted_mb"] = round(sum(
-                    self.kv_metrics.promoted_bytes.values()) / (1 << 20), 1)
-                out["demoted_by_tier"] = {
-                    tier: round(size / (1 << 20), 1)
-                    for tier, size in sorted(
-                        self.kv_metrics.demoted_bytes.items())}
-        if self.memory_tiers:
-            out["memory_tiers"] = self.memory_tiers
-        return out
-
     def report(self, slo: Optional[SloConfig] = None,
                streaming: bool = False) -> ServingReport:
         """Aggregate SLO metrics for this replica's request population.
@@ -281,14 +296,12 @@ class ServingResult:
         sketches (see :mod:`repro.obs.sketch`) instead of sorted
         sample lists.
         """
-        migrated = (self.kv_metrics.migrated_bytes
-                    if self.kv_metrics is not None else 0)
         return ServingReport.from_requests(
             self.requests, self.makespan_s, slo,
             utilization=self.utilization,
             peak_reserved_gb=self.peak_reserved_gb,
             streaming=streaming,
-            migrated_mb=migrated / (1 << 20),
+            migrated_mb=self.migrated_bytes / (1 << 20),
         )
 
 
@@ -791,11 +804,13 @@ class ServingSimulator:
         self._index = 0
 
     def tick(self) -> bool:
-        """One serving-loop iteration; ``False`` once drained.
+        """One serving-loop iteration; returns whether this call did work.
 
-        Every iteration either admits, decodes one step, rejects, or
-        jumps the clock to the next arrival/timeout/re-entry/recovery
-        event — so the loop terminates for any finite stream.
+        ``False`` means the replica was already drained (and the call
+        changed nothing).  Every other call either admits, decodes one
+        step, rejects, or jumps the clock to the next arrival/timeout/
+        re-entry/recovery event — so the loop terminates for any finite
+        stream.
 
         Event plumbing is heap/deque-driven so each step is O(log n)
         bookkeeping: arrivals come off a presorted list by index, the
@@ -863,12 +878,12 @@ class ServingSimulator:
             horizons.append(self._injected[0][0])
         if down:
             horizons.append(self._crash.end_s)
-        if not horizons:
-            return False
-        target = max(min(horizons), now)
-        # The extra microsecond pushes strictly past the boundary so
-        # the event fires on the next pass (no busy-spinning).
-        self.session.advance((target - now) * 1e6 + 1.0)
+        if horizons:
+            target = max(min(horizons), now)
+            # The extra microsecond pushes strictly past the boundary so
+            # the event fires on the next pass (no busy-spinning).
+            self.session.advance((target - now) * 1e6 + 1.0)
+        # No horizon left: this call drained the replica.
         return True
 
     def finish(self) -> ServingResult:

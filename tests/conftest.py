@@ -3,9 +3,13 @@
 Hypothesis settings live here, not per-file: every property test runs
 under the ``ci`` profile (no deadline — CI machines stall; printed
 reproduction blobs — a shrunk failure must be replayable from the log)
-unless ``HYPOTHESIS_PROFILE`` selects another.  The nightly CI job
-exports ``HYPOTHESIS_PROFILE=nightly`` for a deeper example budget.
-Individual tests only override ``max_examples``.
+unless ``HYPOTHESIS_PROFILE`` selects another.  ``ci`` is derandomized
+and keeps no example database, so one commit always gets one verdict,
+whatever a developer's local ``.hypothesis/`` holds.  The nightly CI
+job exports ``HYPOTHESIS_PROFILE=nightly``: random search with the
+example database and a deeper example budget; each failure it finds is
+pinned as an explicit ``@example``.  Individual tests only override
+``max_examples``.
 """
 
 import os
@@ -17,17 +21,13 @@ from repro import GMLakeAllocator, GpuDevice
 from repro.allocators import CachingAllocator, NativeAllocator, VmmNaiveAllocator
 from repro.units import GB
 
-settings.register_profile(
-    "ci",
+_COMMON = dict(
     deadline=None,
     print_blob=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
-settings.register_profile(
-    "nightly",
-    settings.get_profile("ci"),
-    max_examples=400,
-)
+settings.register_profile("ci", derandomize=True, database=None, **_COMMON)
+settings.register_profile("nightly", max_examples=400, **_COMMON)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "ci"))
 
 

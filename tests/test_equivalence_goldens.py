@@ -21,12 +21,15 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 from pathlib import Path
 
 import pytest
 
+from repro.obs.trace import JsonlTraceSink, TraceRecorder
 from repro.serve import LengthSampler, MMPPArrivals, PoissonArrivals
 from repro.serve.cluster import run_serving_cluster
+from repro.serve.disagg import run_serving_disagg
 from repro.serve.simulator import run_serving
 from repro.sim.engine import run_workload
 from repro.units import GB
@@ -57,12 +60,14 @@ def engine_digest(result) -> dict:
     }
 
 
-def _request_digest(requests) -> str:
-    """MD5 over every request's full lifecycle (repr-exact floats)."""
+def _request_digest(requests, retries: bool = False) -> str:
+    """MD5 over every request's full lifecycle (repr-exact floats);
+    ``retries=True`` also covers each request's crash-retry count."""
     rows = [
         (r.req_id, r.state.name, r.replica, r.tokens_done, r.preemptions,
          repr(r.arrival_s), repr(r.admitted_s), repr(r.first_token_s),
          repr(r.finished_s), repr(r.rejected_s), r.reject_reason)
+        + ((r.retries,) if retries else ())
         for r in sorted(requests, key=lambda r: r.req_id)
     ]
     blob = json.dumps(rows, separators=(",", ":")).encode()
@@ -98,6 +103,31 @@ def serving_digest(result, slo=None) -> dict:
             "util_sum": metrics.util_sum,
             "util_samples": metrics.util_samples,
         }
+    return out
+
+
+def _trace_digest(recorder: TraceRecorder) -> str:
+    """MD5 of the JSONL trace file the recorder exports."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = JsonlTraceSink(os.path.join(tmp, "trace.jsonl")).write(recorder)
+        return hashlib.md5(Path(path).read_bytes()).hexdigest()
+
+
+def fleet_digest(result, recorder: TraceRecorder) -> dict:
+    """:func:`serving_digest` plus the fault and trace figures of a
+    fleet run: retry/failure counts, a retry-aware request digest and
+    the JSONL trace, byte for byte."""
+    extras = result.extras()
+    out = serving_digest(result)
+    out.update({
+        "retries": extras.get("retries", 0),
+        "failed": extras.get("failed", 0),
+        "reject_reasons": sorted(
+            {r.reject_reason for r in result.requests if r.reject_reason}),
+        "requests_retries_md5": _request_digest(result.requests,
+                                                retries=True),
+        "trace_md5": _trace_digest(recorder),
+    })
     return out
 
 
@@ -144,6 +174,37 @@ def _serve(allocator, kv_cache, scheduler, *, arrival="poisson", rate=4.0,
     return run
 
 
+def _fleet(n_replicas, faults="none", retry="none", n=240, rate=16.0,
+           capacity=6 * GB, timeout_s=60.0):
+    def run():
+        from repro.serve.simulator import ServingConfig
+
+        stream = PoissonArrivals(rate_per_s=rate).generate(n, seed=7)
+        recorder = TraceRecorder()
+        result = run_serving_cluster(
+            stream, "opt-1.3b", n_replicas=n_replicas, allocator="caching",
+            capacity=capacity, kv_cache="paged?block_tokens=16",
+            scheduler="memory-aware", faults=faults, retry=retry,
+            config=ServingConfig(queue_timeout_s=timeout_s), trace=recorder)
+        return fleet_digest(result, recorder)
+    return run
+
+
+def _disagg(faults, retry, n=160):
+    def run():
+        stream = PoissonArrivals(rate_per_s=8.0).generate(n, seed=3)
+        recorder = TraceRecorder()
+        result = run_serving_disagg(
+            stream, "opt-1.3b", prefill_replicas=2, decode_replicas=2,
+            allocator="gmlake", capacity=6 * GB, scheduler="memory-aware",
+            faults=faults, retry=retry, trace=recorder)
+        out = fleet_digest(result, recorder)
+        out["migrations"] = result.migrations
+        out["pending_imports"] = result.pending_imports
+        return out
+    return run
+
+
 SCENARIOS = {
     "replay/opt-13b-LR-caching": _replay(
         "opt-13b", "caching", batch_size=4, n_gpus=4, strategies="LR",
@@ -180,6 +241,17 @@ SCENARIOS = {
     "serve/preempt-timeout-regime": _serve(
         "caching", "chunked", "fcfs", rate=6.0, n=30, capacity=4 * GB,
         mean_prompt=1500, mean_output=900, timeout_s=3.0, max_batch=8),
+    # Fleet-engine oracles: a coupled fleet (crash windows + hedging, so
+    # failover, hedge clones and loser cancels all fire), an uncoupled
+    # fault-free fleet whose JSONL trace pins the replica step order,
+    # and a disaggregated run with crash-driven budget retries.
+    "fleet/crash-hedge-4x": _fleet(
+        4, faults="replica-crash?mtbf_s=12&mttr_s=5",
+        retry="hedge?after_s=1", n=300, rate=25.0, capacity=5 * GB,
+        timeout_s=2.5),
+    "fleet/fault-free-8x-trace": _fleet(8),
+    "disagg/2p2d-crash-budget": _disagg(
+        "replica-crash?mtbf_s=20&mttr_s=4", "budget?max=3"),
 }
 
 

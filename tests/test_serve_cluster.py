@@ -3,6 +3,7 @@
 import pytest
 
 from repro.serve import (
+    MultiTenantArrivals,
     PoissonArrivals,
     ServingConfig,
     SloConfig,
@@ -10,6 +11,7 @@ from repro.serve import (
     run_serving_cluster,
 )
 from repro.serve.request import ServeRequest
+from repro.units import GB
 
 
 def make_request(req_id, arrival, prompt=256, output=128):
@@ -92,3 +94,19 @@ class TestClusterRun:
         stream = PoissonArrivals(rate_per_s=2.0).generate(10, seed=0)
         result = run_serving_cluster(stream, "opt-1.3b", n_replicas=2)
         assert "2 replicas" in result.summary()
+
+    def test_fleet_extras_include_every_replica_kv_figure(self):
+        stream = MultiTenantArrivals(
+            tenants=4, rate_per_s=8.0, shared_prefix_tokens=256,
+        ).generate(60, seed=3)
+        result = run_serving_cluster(
+            stream, "opt-1.3b", n_replicas=2, allocator="caching",
+            capacity=4 * GB, kv_cache="paged-shared?block_tokens=16",
+            scheduler="memory-aware", memory_tiers="dram?gb=8")
+        extras = result.extras()
+        for replica in result.replicas:
+            missing = set(replica.extras()) - set(extras)
+            assert not missing, f"fleet extras drop {sorted(missing)}"
+        for key in ("prefix_hit_rate", "shared_mb", "cow_copy_mb"):
+            assert key in extras
+        assert extras["memory_tiers"] == result.replicas[0].memory_tiers

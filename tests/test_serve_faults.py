@@ -44,6 +44,7 @@ from repro.serve import (
     RequestState,
     RetrySpec,
     ServeRequest,
+    ServingConfig,
     ServingSimulator,
     StragglerFaults,
     faults_names,
@@ -52,7 +53,7 @@ from repro.serve import (
     retry_names,
     run_serving_cluster,
 )
-from repro.serve.cluster import DownCalendar
+from repro.serve.cluster import DownCalendar, FleetEngine
 from repro.units import GB
 
 CLUSTER = dict(
@@ -237,6 +238,21 @@ class TestClusterFaultTolerance:
         assert all(r.state in (RequestState.FINISHED, RequestState.REJECTED)
                    for r in population)
 
+    def test_failed_over_hedge_copy_never_joins_its_twin(self):
+        # Crash failover used to land a hedge copy on its twin's
+        # replica: the timeout heap then compared two requests sharing
+        # (deadline, req_id) and raised TypeError, and the KV models,
+        # keyed by req_id, mixed the twins' state.
+        result = run_serving_cluster(
+            stream(n=300, rate=40.0), "opt-1.3b",
+            faults="replica-crash?mtbf_s=20&mttr_s=5",
+            retry="hedge?after_s=1", config=ServingConfig(queue_timeout_s=3.0),
+            **{**CLUSTER, "n_replicas": 4})
+        population = [r for replica in result.replicas
+                      for r in replica.requests]
+        assert sorted(r.req_id for r in population) == list(range(300))
+        assert result.retries > 0
+
     def test_fault_none_paths_are_identical(self):
         plain = run_serving_cluster(stream(n=120), "opt-1.3b", **CLUSTER)
         gated = run_fleet(n=120)        # explicit faults="none"/"none"
@@ -273,14 +289,17 @@ class TestFaultObservability:
 
 
 class FaultFleetMachine(RuleBasedStateMachine):
-    """Random inject/tick traffic over a crashing two-replica fleet.
+    """Random inject/step/hedge traffic over a crashing two-replica fleet.
 
-    Failover is wired exactly the way ``_co_simulate`` wires it: each
-    replica's ``_fault_sink`` re-dispatches crash victims to the
-    least-loaded healthy peer per the shared ``DownCalendar``.  After
-    every rule, each tracked request must be terminal or resident on
-    exactly one replica; teardown drains the fleet and asserts zero
-    leaked KV and zero stranded requests.
+    The rules drive the real :class:`FleetEngine`: arrivals enter
+    through its failover routing, every step is the engine's own, and
+    a hedging rule clones stragglers, so hedge races settle through
+    ``cancel`` — whose KV free moves the loser's clock without stepping
+    it.  Each step must pick the replica a scan of the fleet would (the
+    busy one with the earliest clock).  After every rule, each tracked
+    request must be terminal or resident on exactly one replica;
+    teardown drains the fleet and asserts zero leaked KV and zero
+    stranded requests.
     """
 
     N_REPLICAS = 2
@@ -289,32 +308,26 @@ class FaultFleetMachine(RuleBasedStateMachine):
         super().__init__()
         self.faults = ReplicaCrashFaults(mtbf_s=6.0, mttr_s=2.0, seed=3)
         self.retry = BudgetRetry(max=2, backoff_s=0.05, jitter=0.1)
-        self.calendar = DownCalendar(self.faults, self.N_REPLICAS)
         self.sims = [
             ServingSimulator(
                 "opt-1.3b", allocator="caching", capacity=4 * GB,
                 kv_cache="paged?block_tokens=16", scheduler="memory-aware",
+                # A small batch keeps requests queued long enough to hedge.
+                config=ServingConfig(max_batch=2),
                 replica_id=i, faults=self.faults, retry=self.retry)
             for i in range(self.N_REPLICAS)
         ]
         for sim in self.sims:
             sim.start([])
-            sim._fault_sink = self._redispatch
+            sim.tick = self._checked_tick(sim, sim.tick)
+        self.engine = FleetEngine(
+            self.sims, DownCalendar(self.faults, self.N_REPLICAS))
         # Model weights stay resident for the lifetime of a replica;
         # "zero leaked KV" means active bytes return to this baseline.
         self.baseline = [sim.allocator.stats().active_bytes
                          for sim in self.sims]
         self.requests = []
         self.next_id = 0
-
-    def _redispatch(self, request, ready_s, failover):
-        del failover
-        healthy = [i for i in range(self.N_REPLICAS)
-                   if not self.calendar.down_at(i, ready_s)]
-        pool = healthy or list(range(self.N_REPLICAS))
-        target = min(pool, key=lambda j: (self.sims[j].outstanding, j))
-        request.replica = target
-        self.sims[target].inject(request, ready_s)
 
     def _resident(self, sim, request):
         if id(request) in sim._gone:
@@ -323,6 +336,21 @@ class FaultFleetMachine(RuleBasedStateMachine):
                 | {id(r) for r in sim._running}
                 | {id(r) for _, _, r in sim._injected})
         return id(request) in live
+
+    def _laggard(self):
+        busy = [i for i in range(self.N_REPLICAS) if self.sims[i].busy]
+        return min(busy, key=lambda j: (self.sims[j].session.elapsed_s, j),
+                   default=None)
+
+    def _checked_tick(self, sim, tick):
+        """``sim.tick`` asserting the engine ticks the fleet's laggard."""
+        def checked():
+            if sim.busy:
+                assert self._laggard() == sim.replica_id, (
+                    f"engine ticked replica {sim.replica_id}, the scan "
+                    f"picks {self._laggard()}")
+            return tick()
+        return checked
 
     # -- rules ----------------------------------------------------------
     @rule(prompt_blocks=st.integers(1, 8), output=st.integers(1, 48),
@@ -333,17 +361,26 @@ class FaultFleetMachine(RuleBasedStateMachine):
             req_id=self.next_id, arrival_s=now + gap_ms / 1000.0,
             prompt_tokens=prompt_blocks * 16, output_tokens=output)
         self.next_id += 1
-        self._redispatch(request, request.arrival_s, failover=False)
+        self.engine.route(request, request.arrival_s)
         self.requests.append(request)
 
     @rule(steps=st.integers(1, 12))
-    def tick_laggard(self, steps):
+    def step_fleet(self, steps):
         for _ in range(steps):
-            busy = [i for i in range(self.N_REPLICAS) if self.sims[i].busy]
-            if not busy:
+            expected = self._laggard()
+            assert self.engine.step() == expected
+            if expected is None:
                 return
-            i = min(busy, key=lambda j: (self.sims[j].session.elapsed_s, j))
-            self.sims[i].tick()
+
+    @rule(burst=st.integers(2, 6), output=st.integers(8, 48),
+          after_ms=st.integers(1, 40))
+    def hedge_burst(self, burst, output, after_ms):
+        """Arm hedging, then land a burst of simultaneous arrivals: the
+        burst queues behind a full batch, so stragglers get cloned onto
+        the other replica and the losing copies are cancelled."""
+        self.engine.hedge_after_s = after_ms / 1000.0
+        for _ in range(burst):
+            self.inject_request(prompt_blocks=2, output=output, gap_ms=0)
 
     # -- the invariant (checked after every rule) -----------------------
     @invariant()
@@ -365,10 +402,11 @@ class FaultFleetMachine(RuleBasedStateMachine):
 
     def teardown(self):
         guard = 0
-        while any(sim.busy for sim in self.sims):
-            busy = [i for i in range(self.N_REPLICAS) if self.sims[i].busy]
-            i = min(busy, key=lambda j: (self.sims[j].session.elapsed_s, j))
-            assert self.sims[i].tick(), "busy replica made no progress"
+        while True:
+            expected = self._laggard()
+            assert self.engine.step() == expected
+            if expected is None:
+                break
             guard += 1
             assert guard < 200_000, "fleet failed to drain"
         populations = [sim.finish().requests for sim in self.sims]

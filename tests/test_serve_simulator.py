@@ -226,3 +226,27 @@ class TestTimelineAndReplayArrivals:
         result = run_serving(stream, "opt-1.3b")
         assert result.completed == 3
         assert result.makespan_s >= 1.0
+
+
+class TestTickContract:
+    """``tick()`` reports whether *this call* did work: ``False`` only on
+    an already-drained replica."""
+
+    def test_tick_that_drains_the_replica_reports_progress(self):
+        simulator = ServingSimulator("opt-1.3b", allocator="caching")
+        simulator.start([])
+        request = make_request(0, 0.0, 64, 1)
+        simulator.inject(request, 0.0)
+        assert simulator.tick()  # admits, prefills and finishes it
+        assert request.state is RequestState.FINISHED
+        assert not simulator.busy
+        assert not simulator.tick()
+
+    def test_drained_tick_has_no_side_effects(self):
+        simulator = ServingSimulator("opt-1.3b", allocator="caching")
+        simulator.start([make_request(0, 0.0, 64, 4)])
+        while simulator.busy:
+            assert simulator.tick()
+        clock = simulator.session.elapsed_s
+        assert not simulator.tick()
+        assert simulator.session.elapsed_s == clock
