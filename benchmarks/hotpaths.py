@@ -14,12 +14,16 @@ not asserted:
   steps, per-step workspace churn through the allocator).
 * ``replay_cell`` — one representative cell of the §5 summary grid
   (opt-13b, LR, 4 GPUs) under caching and GMLake.
+* ``vmm_stitch`` — stitch and destroy many-chunk sBlocks over
+  pre-allocated pBlocks: the VMM driver's map/set-access/unmap work
+  alone, with no allocator pools around it.
 * ``summary_76`` (``--full`` only) — the entire 76-workload grid,
   single process, the acceptance headline.
 
 ``BASELINE_S`` holds the pre-overhaul wall-clock of each scenario,
 measured on the reference machine at the commit *before* the hot-path
-refactor; ``speedup`` in the JSON is baseline / current.  Re-measure
+refactor; ``speedup`` in the JSON is baseline / current, and is left
+out for a scenario with no baseline.  Re-measure
 with ``--rebaseline`` to print a fresh dict for this machine.
 
 Usage::
@@ -41,8 +45,10 @@ from typing import Callable, Dict, Optional
 from repro.allocators import CachingAllocator
 from repro.core import GMLakeAllocator
 from repro.core.config import GMLakeConfig
+from repro.core.pblock import PBlock
+from repro.core.sblock import SBlock
 from repro.gpu.device import GpuDevice
-from repro.units import GB, MB
+from repro.units import CHUNK_SIZE, GB, MB
 
 #: Pre-overhaul wall-clock seconds per scenario (reference machine,
 #: measured at the commit before the hot-path refactor).  Keys are
@@ -174,6 +180,29 @@ def replay_cell(iterations: int) -> Dict[str, float]:
     return {"wall_s": wall, "ops": ops, "ops_per_s": ops / wall}
 
 
+def vmm_stitch(n_pblocks: int, chunks_per_pblock: int, width: int,
+               cycles: int) -> Dict[str, float]:
+    """Stitch/StitchFree driver traffic over pre-allocated pBlocks.
+
+    Build ``n_pblocks`` pBlocks of ``chunks_per_pblock`` 2 MB chunks.
+    Each cycle stitches a sliding window of ``width`` of them into one
+    sBlock (one map and one set-access per member chunk) and destroys
+    it (one unmap per chunk).  ``ops`` counts stitches and destroys.
+    """
+    size = chunks_per_pblock * CHUNK_SIZE
+    device = GpuDevice(capacity=n_pblocks * size)
+    pblocks = [PBlock.allocate(device, size, CHUNK_SIZE)
+               for _ in range(n_pblocks)]
+    start = time.perf_counter()
+    for i in range(cycles):
+        members = [pblocks[(i + k) % n_pblocks] for k in range(width)]
+        SBlock.stitch(device, members).destroy(device)
+    wall = time.perf_counter() - start
+    return {"wall_s": wall, "ops": 2 * cycles,
+            "ops_per_s": 2 * cycles / wall,
+            "chunks": cycles * width * chunks_per_pblock}
+
+
 def summary_76() -> Dict[str, float]:
     """The full 76-workload §5 grid, single process (the acceptance
     headline for ``bench_summary_76_workloads.py``)."""
@@ -197,6 +226,7 @@ def scenario_set(mode: str) -> Dict[str, Callable[[], Dict[str, float]]]:
             "serving_steps": lambda: serving_steps(60),
             "serving_backlog": lambda: serving_backlog(600),
             "replay_cell": lambda: replay_cell(2),
+            "vmm_stitch": lambda: vmm_stitch(16, 32, 8, 200),
         }
     scenarios: Dict[str, Callable[[], Dict[str, float]]] = {
         "caching_large_pool": lambda: caching_large_pool(50_000, 2_000),
@@ -204,6 +234,7 @@ def scenario_set(mode: str) -> Dict[str, Callable[[], Dict[str, float]]]:
         "serving_steps": lambda: serving_steps(200),
         "serving_backlog": lambda: serving_backlog(1_500),
         "replay_cell": lambda: replay_cell(6),
+        "vmm_stitch": lambda: vmm_stitch(64, 32, 8, 2_000),
     }
     if mode == "full":
         scenarios["summary_76"] = summary_76
@@ -240,7 +271,7 @@ def run_harness(mode: str, out_path: Optional[Path] = None,
             "ops": int(measured["ops"]),
             "ops_per_s": round(measured["ops_per_s"], 1),
         }
-        for extra in ("free_blocks", "pool_blocks", "completed"):
+        for extra in ("free_blocks", "pool_blocks", "completed", "chunks"):
             if extra in measured:
                 entry[extra] = int(measured[extra])
         if before is not None:

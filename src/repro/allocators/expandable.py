@@ -73,13 +73,9 @@ class _Arena:
             )
         vmm = self.device.vmm
         new_handles: List[int] = []
-        offset = self.mapped
         try:
-            for _ in range(grow_bytes // CHUNK_SIZE):
-                handle = vmm.mem_create(CHUNK_SIZE)
-                new_handles.append(handle)
-                vmm.mem_map(self.va, offset, handle)
-                offset += CHUNK_SIZE
+            vmm.mem_map(self.va, self.mapped, new_handles,
+                        create=(CHUNK_SIZE, grow_bytes // CHUNK_SIZE))
         except CudaOutOfMemoryError:
             if new_handles:
                 vmm.mem_unmap(self.va, self.mapped,

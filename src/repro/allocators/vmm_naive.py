@@ -60,14 +60,12 @@ class VmmNaiveAllocator(BaseAllocator):
         va = vmm.mem_address_reserve(rounded)
         handles: List[int] = []
         try:
-            for offset in range(0, rounded, self.chunk_size):
-                handle = vmm.mem_create(self.chunk_size)
-                handles.append(handle)
-                vmm.mem_map(va, offset, handle)
+            vmm.mem_map(va, 0, handles,
+                        create=(self.chunk_size, rounded // self.chunk_size))
         except CudaOutOfMemoryError as exc:
             # Roll back partial work so the device is left consistent.
-            # Only mem_create can raise OOM, so every handle in the list
-            # completed its map in a previous iteration.
+            # Only a create can raise OOM and the failed create adds no
+            # handle, so every handle in the list is mapped.
             if handles:
                 vmm.mem_unmap(va, 0, len(handles) * self.chunk_size)
                 for handle in handles:

@@ -83,10 +83,7 @@ class PBlock:
         va = vmm.mem_address_reserve(size)
         handles: List[int] = []
         try:
-            for offset in range(0, size, chunk_size):
-                handle = vmm.mem_create(chunk_size)
-                handles.append(handle)
-                vmm.mem_map(va, offset, handle)
+            vmm.mem_map(va, 0, handles, create=(chunk_size, size // chunk_size))
         except Exception:
             # Roll back so a failed Alloc leaves the device unchanged.
             if handles:
@@ -135,8 +132,7 @@ class PBlock:
         vmm = device.vmm
         size = len(handles) * self.chunk_size
         va = vmm.mem_address_reserve(size)
-        for i, handle in enumerate(handles):
-            vmm.mem_map(va, i * self.chunk_size, handle)
+        vmm.mem_map(va, 0, handles)
         vmm.mem_set_access(va, 0, size)
         return PBlock(va=va, size=size, chunk_size=self.chunk_size, handles=handles)
 

@@ -74,11 +74,8 @@ class SBlock:
         total = sum(p.size for p in members)
         vmm = device.vmm
         va = vmm.mem_address_reserve(total)
-        offset = 0
-        for pblock in members:
-            for handle in pblock.handles:
-                vmm.mem_map(va, offset, handle)
-                offset += pblock.chunk_size
+        vmm.mem_map(va, 0, [handle for pblock in members
+                            for handle in pblock.handles])
         vmm.mem_set_access(va, 0, total)
         return cls(va=va, size=total, members=list(members))
 

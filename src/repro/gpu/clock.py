@@ -8,6 +8,10 @@ float microsecond count; experiments convert to seconds for reporting
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import add
+from typing import Sequence
+
 
 class SimClock:
     """A monotonically advancing simulated clock.
@@ -43,6 +47,15 @@ class SimClock:
         if duration_us < 0:
             raise ValueError(f"cannot advance clock by {duration_us} us")
         self._now_us += duration_us
+        return self._now_us
+
+    def advance_each(self, durations: Sequence[float]) -> float:
+        """Advance by each of ``durations`` in turn, one addition at a
+        time, so the result is bit-identical to one :meth:`advance` per
+        duration (a single summed advance would round differently)."""
+        if durations and min(durations) < 0:
+            raise ValueError(f"cannot advance clock by {min(durations)} us")
+        self._now_us = reduce(add, durations, self._now_us)
         return self._now_us
 
     def reset(self) -> None:

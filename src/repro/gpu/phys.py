@@ -10,13 +10,13 @@ is what the paper's "reserved memory" metric measures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Iterable
 
 from repro.errors import CudaInvalidValueError, CudaOutOfMemoryError
 from repro.units import fmt_bytes
 
 
-@dataclass
+@dataclass(slots=True)
 class PhysicalChunk:
     """One physical allocation created by ``cuMemCreate``.
 
@@ -73,6 +73,13 @@ class PhysicalMemory:
         """Number of chunks still holding physical memory."""
         return len(self._chunks)
 
+    @property
+    def chunks(self) -> Dict[int, PhysicalChunk]:
+        """Live chunks by handle.  The VMM layer looks a whole run of
+        handles up in one pass and adds each mapping's reference on the
+        chunk itself; only this class adds or removes chunks."""
+        return self._chunks
+
     def create(self, size: int) -> int:
         """Commit ``size`` bytes and return a fresh handle.
 
@@ -107,10 +114,18 @@ class PhysicalMemory:
 
     def release_ref(self, handle: int) -> None:
         """Drop one mapping reference; destroy the chunk at zero."""
-        chunk = self.get(handle)
-        chunk.refcount -= 1
-        if chunk.refcount == 0:
-            self._destroy(chunk)
+        self.get(handle)  # raises on an unknown handle
+        self.release_refs((handle,))
+
+    def release_refs(self, handles: Iterable[int]) -> None:
+        """Drop one mapping reference from each of ``handles`` (live
+        handles, as the VMM's mapping table holds), in order."""
+        chunks = self._chunks
+        for handle in handles:
+            chunk = chunks[handle]
+            chunk.refcount -= 1
+            if chunk.refcount == 0:
+                self._destroy(chunk)
 
     def release(self, handle: int) -> None:
         """``cuMemRelease``: drop the creation reference.

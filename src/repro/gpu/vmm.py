@@ -15,23 +15,29 @@ Contracts enforced (matching the real driver):
   simultaneously — the property GMLake's stitching exploits ("the PA in
   VMM can be pointed by multiple VAs").
 * A chunk's physical bytes are returned only when every mapping is
-  unmapped and the creation handle is released.
-* Mapped ranges must be made accessible with ``cuMemSetAccess`` before a
-  tensor may use them.
+  unmapped and the creation handle is released; a released handle
+  cannot be mapped again.
+* ``cuMemSetAccess`` may only cover mapped bytes.
 
 Every call advances the shared :class:`~repro.gpu.clock.SimClock` by the
-:class:`~repro.gpu.latency.LatencyModel` cost and bumps a counter, which
-is how end-to-end allocator overhead (Figures 11/13 throughput) and the
-Table 1 breakdown are measured.
+:class:`~repro.gpu.latency.LatencyModel` cost and bumps a counter, once
+per chunk it touches, which is how end-to-end allocator overhead
+(Figures 11/13 throughput) and the Table 1 breakdown are measured.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from functools import reduce
+from operator import add, attrgetter
+from typing import Dict, List, Optional, Tuple
 
-from repro.errors import CudaInvalidAddressError, CudaInvalidValueError
+from repro.errors import (
+    CudaInvalidAddressError,
+    CudaInvalidValueError,
+    CudaOutOfMemoryError,
+)
 from repro.gpu.clock import SimClock
 from repro.gpu.latency import LatencyModel
 from repro.gpu.phys import PhysicalMemory
@@ -66,18 +72,37 @@ class VmmCounters:
         }
 
 
-@dataclass
-class _Mapping:
-    """One chunk mapped at ``offset`` within a reservation."""
+class _Run:
+    """Equal-size chunks mapped back to back from ``offset``."""
 
-    offset: int
-    size: int
-    handle: int
-    accessible: bool = False
+    __slots__ = ("offset", "size", "handles")
+
+    def __init__(self, offset: int, size: int, handles: List[int]):
+        self.offset = offset
+        self.size = size
+        self.handles = handles
+
+    @property
+    def end(self) -> int:
+        return self.offset + self.size * len(self.handles)
+
+
+#: Runs in a table are sorted and disjoint, so their ends are sorted
+#: too: bisecting on the end finds the first run reaching past an offset.
+_run_end = attrgetter("end")
 
 
 class CudaVmm:
-    """The simulated ``cuMem*`` driver API for one device."""
+    """The simulated ``cuMem*`` driver API for one device.
+
+    The mapping table keeps one record per run of equal-size chunks
+    mapped back to back, so a stitch of ``k`` chunks is one table
+    insert.  Everything the driver exposes stays per chunk: each chunk
+    is one counted call whose latency is added to the clock on its own,
+    in the order single-chunk calls would add it; each mapping holds a
+    reference on its chunk; and a run that fails at chunk ``i`` leaves
+    chunks ``0..i-1`` mapped.
+    """
 
     #: Minimum physical allocation granularity on the simulated device.
     GRANULARITY = 2 * MB
@@ -89,13 +114,19 @@ class CudaVmm:
         self._clock = clock
         self._latency = latency
         self.counters = VmmCounters()
-        # va -> sorted-by-offset list of mappings inside that reservation
-        self._mappings: Dict[int, List[_Mapping]] = {}
+        # va -> the runs mapped inside that reservation, sorted by offset
+        self._runs: Dict[int, List[_Run]] = {}
 
     # ------------------------------------------------------------------
     def _spend(self, us: float) -> None:
         self._clock.advance(us)
         self.counters.total_time_us += us
+
+    def _spend_each(self, costs: List[float]) -> None:
+        """Charge one call per entry of ``costs``, in order."""
+        self._clock.advance_each(costs)
+        self.counters.total_time_us = reduce(add, costs,
+                                             self.counters.total_time_us)
 
     # ------------------------------------------------------------------
     # Allocation family
@@ -105,7 +136,7 @@ class CudaVmm:
         self._spend(self._latency.mem_address_reserve(size))
         self.counters.reserve_calls += 1
         va = self._va.reserve(size)
-        self._mappings[va] = []
+        self._runs[va] = []
         return va
 
     def mem_create(self, size: int) -> int:
@@ -113,115 +144,216 @@ class CudaVmm:
 
         ``size`` must be a positive multiple of :attr:`GRANULARITY`.
         """
+        self._check_create_size(size)
+        self._spend(self._latency.mem_create(size))
+        self.counters.create_calls += 1
+        return self._phys.create(size)
+
+    def _check_create_size(self, size: int) -> None:
         if size <= 0 or not is_aligned(size, self.GRANULARITY):
             raise CudaInvalidValueError(
                 f"cuMemCreate size must be a positive multiple of "
                 f"{self.GRANULARITY}, got {size}"
             )
-        self._spend(self._latency.mem_create(size))
-        self.counters.create_calls += 1
-        return self._phys.create(size)
 
-    def mem_map(self, va: int, offset: int, handle: int) -> None:
-        """Map physical ``handle`` at ``va + offset``.
+    def mem_map(self, va: int, offset: int, handles: List[int],
+                create: Optional[Tuple[int, int]] = None) -> None:
+        """Map the chunks ``handles`` back to back from ``va + offset``.
 
-        The full chunk is mapped; the target range must lie inside the
-        reservation that starts at ``va`` and must not overlap an
-        existing mapping in that reservation.
+        One ``cuMemMap`` per chunk; a one-element list is a single map.
+        Every chunk must lie inside the reservation that starts at
+        ``va``, must not overlap an existing mapping there, and must not
+        have been released.  A run that fails at chunk ``i`` raises
+        after mapping chunks ``0..i-1``.
+
+        ``create=(size, count)`` is ``Alloc``'s pattern: ``count`` new
+        chunks of ``size`` bytes, each ``cuMemCreate``-d right before it
+        is mapped and charged in that order.  Their handles are appended
+        to ``handles`` as they are created, so after a failure (an OOM
+        at chunk ``i``) it names every chunk the caller must release.
         """
-        chunk = self._phys.get(handle)
-        if va not in self._mappings:
-            raise CudaInvalidAddressError(f"{va:#x} is not a reserved address")
-        if not self._va.contains(va, offset, chunk.size):
-            raise CudaInvalidAddressError(
-                f"map of {chunk.size} bytes at offset {offset} exceeds "
+        runs = self._runs.get(va)
+        idx, limit = self._gap(va, runs, offset)
+        if create is not None:
+            self._create_and_map(va, runs, idx, limit, offset, handles,
+                                 *create)
+            return
+        chunks = self._phys.chunks
+        cursor = offset
+        new: List[_Run] = []
+        run: Optional[_Run] = None
+        error: Optional[Exception] = None
+        for handle in handles:
+            chunk = chunks.get(handle)
+            if chunk is None or chunk.released:
+                state = "unknown or destroyed" if chunk is None else "released"
+                error = CudaInvalidValueError(
+                    f"cannot map {state} physical handle {handle}")
+                break
+            size = chunk.size
+            if cursor + size > limit:
+                error = self._map_error(va, runs, cursor, size)
+                break
+            chunk.refcount += 1
+            if run is None or run.size != size:
+                run = _Run(cursor, size, [])
+                new.append(run)
+            run.handles.append(handle)
+            cursor += size
+        if new:
+            costs: List[float] = []
+            for run in new:
+                costs += [self._latency.mem_map(run.size)] * len(run.handles)
+            self._spend_each(costs)
+            self.counters.map_calls += len(costs)
+            runs[idx:idx] = new
+        if error is not None:
+            raise error
+
+    def _create_and_map(self, va: int, runs: Optional[List[_Run]], idx: int,
+                        limit: int, offset: int, handles: List[int],
+                        size: int, count: int) -> None:
+        """The ``create=`` form of :meth:`mem_map`."""
+        self._check_create_size(size)
+        fits = max(0, (limit - offset) // size)
+        # A chunk is created before its map is checked, so the first
+        # chunk that does not fit is still created (and charged).
+        created: List[int] = []
+        oom: Optional[CudaOutOfMemoryError] = None
+        try:
+            for _ in range(min(count, fits + 1)):
+                created.append(self._phys.create(size))
+        except CudaOutOfMemoryError as exc:
+            oom = exc
+        handles += created
+        mapped = created[:fits]
+        create_us = self._latency.mem_create(size)
+        costs = [create_us, self._latency.mem_map(size)] * len(mapped)
+        if len(created) > len(mapped) or oom is not None:
+            costs.append(create_us)  # the create of the failing chunk
+        self._spend_each(costs)
+        self.counters.create_calls += len(created) + (oom is not None)
+        self.counters.map_calls += len(mapped)
+        if mapped:
+            chunks = self._phys.chunks
+            for handle in mapped:
+                chunks[handle].refcount += 1
+            runs.insert(idx, _Run(offset, size, mapped))
+        if oom is not None:
+            raise oom
+        if len(mapped) < count:
+            raise self._map_error(va, runs, offset + len(mapped) * size, size)
+
+    def _gap(self, va: int, runs: Optional[List[_Run]],
+             offset: int) -> Tuple[int, int]:
+        """Where a run mapped at ``offset`` goes in ``runs``, and the end
+        of the free range it may fill (``offset`` itself when the start
+        is already invalid, so the first chunk fails)."""
+        if runs is None or offset < 0:
+            return 0, offset
+        idx = bisect.bisect_right(runs, offset, key=_run_end)
+        limit = self._va.get(va).size
+        if idx < len(runs):
+            if runs[idx].offset <= offset:
+                return idx, offset
+            limit = min(limit, runs[idx].offset)
+        return idx, limit
+
+    def _map_error(self, va: int, runs: Optional[List[_Run]], offset: int,
+                   size: int) -> Exception:
+        """The error mapping ``size`` bytes at ``offset`` raises, once
+        :meth:`_gap` has ruled the chunk out."""
+        if runs is None:
+            return CudaInvalidAddressError(f"{va:#x} is not a reserved address")
+        if not self._va.contains(va, offset, size):
+            return CudaInvalidAddressError(
+                f"map of {size} bytes at offset {offset} exceeds "
                 f"reservation at {va:#x}"
             )
-        # The per-VA table is kept sorted by offset, so only the two
-        # neighbours of the insertion point can overlap — stitching a
-        # k-chunk sBlock is O(k) instead of O(k^2 log k): every caller
-        # maps chunks in ascending offset order, making the append
-        # fast path the common case.
-        maps = self._mappings[va]
-        last = maps[-1] if maps else None
-        if last is None or offset >= last.offset + last.size:
-            idx = len(maps)
-        else:
-            idx = bisect.bisect_left(maps, offset, key=lambda m: m.offset)
-            for m in (maps[idx - 1] if idx else None,
-                      maps[idx] if idx < len(maps) else None):
-                if m is not None and (offset < m.offset + m.size
-                                      and m.offset < offset + chunk.size):
-                    raise CudaInvalidValueError(
-                        f"overlapping map at {va:#x}+{offset} "
-                        f"(existing mapping at +{m.offset})"
-                    )
-        self._spend(self._latency.mem_map(chunk.size))
-        self.counters.map_calls += 1
-        self._phys.retain(handle)
-        maps.insert(idx, _Mapping(offset=offset, size=chunk.size, handle=handle))
+        return CudaInvalidValueError(
+            f"overlapping map at {va:#x}+{offset} (an existing mapping "
+            f"covers part of [{offset}, {offset + size}))"
+        )
 
     def mem_set_access(self, va: int, offset: int, size: int) -> None:
         """Grant read/write access to ``[va+offset, va+offset+size)``.
 
-        Every byte of the range must already be mapped.
+        Every byte of the range must already be mapped; one call is
+        charged per chunk the range touches.
         """
-        maps = self._mappings.get(va)
-        if maps is None:
+        runs = self._runs.get(va)
+        if runs is None:
             raise CudaInvalidAddressError(f"{va:#x} is not a reserved address")
         end = offset + size
         cursor = offset
-        touched: List[_Mapping] = []
-        # Binary-search the first mapping that can cover ``offset``; the
-        # table is sorted by offset and overlap-free, so the covering
-        # run (if any) is contiguous from there.
-        idx = bisect.bisect_right(maps, offset, key=lambda m: m.offset)
-        if idx and maps[idx - 1].offset + maps[idx - 1].size > offset:
-            idx -= 1
-        while idx < len(maps) and maps[idx].offset < end:
-            m = maps[idx]
-            if m.offset > cursor:
+        costs: List[float] = []
+        # Start at the chunk covering ``offset`` (if any) and walk
+        # contiguous runs until the range is covered or a gap appears.
+        idx = bisect.bisect_right(runs, offset, key=_run_end)
+        first = 0
+        if idx < len(runs):
+            first = max(0, (offset - runs[idx].offset) // runs[idx].size)
+        while idx < len(runs):
+            run = runs[idx]
+            start = run.offset + first * run.size
+            if start > cursor or start >= end:
                 break
-            touched.append(m)
-            cursor = m.offset + m.size
-            idx += 1
+            stop = min(len(run.handles), -((run.offset - end) // run.size))
+            costs += [self._latency.mem_set_access(run.size)] * (stop - first)
+            cursor = run.offset + stop * run.size
             if cursor >= end:
                 break
+            idx += 1
+            first = 0
         if cursor < end:
             raise CudaInvalidAddressError(
                 f"setAccess range [{offset}, {end}) at {va:#x} is not fully mapped"
             )
-        for m in touched:
-            self._spend(self._latency.mem_set_access(m.size))
-            self.counters.set_access_calls += 1
-            m.accessible = True
+        self._spend_each(costs)
+        self.counters.set_access_calls += len(costs)
 
     # ------------------------------------------------------------------
     # Deallocation family
     # ------------------------------------------------------------------
     def mem_unmap(self, va: int, offset: int, size: int) -> None:
-        """Unmap every mapping fully contained in the given range."""
-        maps = self._mappings.get(va)
-        if maps is None:
+        """Unmap every chunk fully contained in the given range.
+
+        A run only partly inside the range is split around it.
+        """
+        runs = self._runs.get(va)
+        if runs is None:
             raise CudaInvalidAddressError(f"{va:#x} is not a reserved address")
         end = offset + size
-        # Fully-contained mappings form one contiguous run in the
-        # sorted table: everything from the first mapping at or past
-        # ``offset`` while it still ends by ``end``.
-        lo = bisect.bisect_left(maps, offset, key=lambda m: m.offset)
-        hi = lo
-        while hi < len(maps) and maps[hi].offset + maps[hi].size <= end:
+        lo = hi = bisect.bisect_right(runs, offset, key=_run_end)
+        kept: List[_Run] = []
+        gone: List[_Run] = []
+        while hi < len(runs) and runs[hi].offset < end:
+            run = runs[hi]
             hi += 1
-        removed = maps[lo:hi]
-        if not removed:
+            step, n = run.size, len(run.handles)
+            first = max(0, -((run.offset - offset) // step))
+            stop = min(n, (end - run.offset) // step)
+            if first >= stop:
+                kept.append(run)
+                continue
+            if first:
+                kept.append(_Run(run.offset, step, run.handles[:first]))
+            if stop < n:
+                kept.append(_Run(run.offset + stop * step, step,
+                                 run.handles[stop:]))
+            gone.append(_Run(run.offset + first * step, step,
+                             run.handles[first:stop]))
+        if not gone:
             raise CudaInvalidValueError(
                 f"unmap range [{offset}, {end}) at {va:#x} contains no mapping"
             )
-        del maps[lo:hi]
-        for m in removed:
-            self._spend(self._latency.mem_unmap(m.size))
-            self.counters.unmap_calls += 1
-            self._phys.release_ref(m.handle)
+        runs[lo:hi] = kept
+        costs: List[float] = []
+        for run in gone:
+            costs += [self._latency.mem_unmap(run.size)] * len(run.handles)
+            self._phys.release_refs(run.handles)
+        self._spend_each(costs)
+        self.counters.unmap_calls += len(costs)
 
     def mem_release(self, handle: int) -> None:
         """Release the creation reference of a physical chunk."""
@@ -232,38 +364,41 @@ class CudaVmm:
 
     def mem_address_free(self, va: int) -> None:
         """Free a VA reservation.  All mappings must be unmapped first."""
-        maps = self._mappings.get(va)
-        if maps is None:
+        runs = self._runs.get(va)
+        if runs is None:
             raise CudaInvalidAddressError(f"{va:#x} is not a reserved address")
-        if maps:
+        if runs:
+            left = sum(len(run.handles) for run in runs)
             raise CudaInvalidValueError(
-                f"cannot free reservation {va:#x}: {len(maps)} mappings remain"
+                f"cannot free reservation {va:#x}: {left} mappings remain"
             )
         self._spend(self._latency.mem_address_free(0))
         self.counters.address_free_calls += 1
-        del self._mappings[va]
+        del self._runs[va]
         self._va.free(va)
 
     # ------------------------------------------------------------------
     # Introspection (used by tests and metrics)
     # ------------------------------------------------------------------
     def mappings_at(self, va: int) -> List[Tuple[int, int, int]]:
-        """Return ``(offset, size, handle)`` triples mapped at ``va``."""
-        maps = self._mappings.get(va)
-        if maps is None:
+        """Return ``(offset, size, handle)`` triples mapped at ``va``,
+        one per chunk, in offset order."""
+        runs = self._runs.get(va)
+        if runs is None:
             raise CudaInvalidAddressError(f"{va:#x} is not a reserved address")
-        return [(m.offset, m.size, m.handle) for m in maps]
+        return [(run.offset + i * run.size, run.size, handle)
+                for run in runs for i, handle in enumerate(run.handles)]
 
     def is_fully_mapped(self, va: int, size: int) -> bool:
         """True if ``[va, va+size)`` is covered by contiguous mappings."""
-        maps = self._mappings.get(va)
-        if maps is None:
+        runs = self._runs.get(va)
+        if runs is None:
             return False
         cursor = 0
-        for m in maps:
-            if m.offset > cursor:
+        for run in runs:
+            if run.offset > cursor:
                 return False
-            cursor = max(cursor, m.offset + m.size)
+            cursor = max(cursor, run.end)
             if cursor >= size:
                 return True
         return cursor >= size

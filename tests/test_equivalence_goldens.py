@@ -26,13 +26,15 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import resolve_allocator
+from repro.gpu.device import GpuDevice
 from repro.obs.trace import JsonlTraceSink, TraceRecorder
 from repro.serve import LengthSampler, MMPPArrivals, PoissonArrivals
 from repro.serve.cluster import run_serving_cluster
 from repro.serve.disagg import run_serving_disagg
 from repro.serve.simulator import run_serving
-from repro.sim.engine import run_workload
-from repro.units import GB
+from repro.sim.engine import run_trace, run_workload
+from repro.units import A100_80GB, GB
 from repro.workloads import TrainingWorkload
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "hotpath_goldens.json"
@@ -141,6 +143,24 @@ def _replay(model, allocator, **kw):
     return run
 
 
+def _vmm_replay(model, allocator, capacity=A100_80GB, **kw):
+    """A replay digest plus the driver-level facts of its device: the
+    VMM counter snapshot and VA-space peak after the replay, and the
+    counters and committed bytes after a final ``empty_cache``."""
+    def run():
+        device = GpuDevice(capacity=capacity)
+        alloc = resolve_allocator(allocator, device)
+        trace = TrainingWorkload(model, **kw).build_trace()
+        out = engine_digest(run_trace(alloc, trace))
+        out["vmm"] = device.vmm.counters.snapshot()
+        out["va_peak_reserved"] = device.vaspace.peak_reserved
+        alloc.empty_cache()
+        out["vmm_after_empty_cache"] = device.vmm.counters.snapshot()
+        out["committed_after_empty_cache"] = device.phys.committed
+        return out
+    return run
+
+
 def _serve(allocator, kv_cache, scheduler, *, arrival="poisson", rate=4.0,
            n=120, capacity=8 * GB, replicas=1, seed=0, mean_prompt=512,
            mean_output=256, timeout_s=None, max_batch=None):
@@ -221,6 +241,27 @@ SCENARIOS = {
     "replay/llama-7b-LRO-gmlake-chunk256": _replay(
         "llama-7b", "gmlake?chunk_mb=256", batch_size=8, n_gpus=2,
         strategies="LRO", iterations=4),
+    # Driver-level oracles: every VMM counter and the summed driver
+    # time (float-exact) on each VMM-backed allocator.  The GMLake runs
+    # stitch tens of thousands of chunks; the 12 GB ones also OOM
+    # mid-Alloc, so the partial-create rollback is pinned too.  The
+    # expandable run trims its arena tail under pressure (a partial
+    # unmap of a mapped run), and vmm-naive covers a non-2 MB chunk.
+    "vmm/gpt-2-RO-gmlake": _vmm_replay(
+        "gpt-2", "gmlake", batch_size=16, n_gpus=1, strategies="RO",
+        iterations=4),
+    "vmm/gpt-2-RO-gmlake-12gb": _vmm_replay(
+        "gpt-2", "gmlake", capacity=12 * GB, batch_size=16, n_gpus=1,
+        strategies="RO", iterations=4),
+    "vmm/gpt-2-RO-expandable-14gb": _vmm_replay(
+        "gpt-2", "expandable", capacity=14 * GB, batch_size=16, n_gpus=1,
+        strategies="RO", iterations=4),
+    "vmm/gpt-2-RO-vmm-naive-12gb": _vmm_replay(
+        "gpt-2", "vmm-naive", capacity=12 * GB, batch_size=16, n_gpus=1,
+        strategies="RO", iterations=4),
+    "vmm/gpt-2-RO-vmm-naive-64mb": _vmm_replay(
+        "gpt-2", "vmm-naive?chunk_size=64MB", batch_size=16, n_gpus=1,
+        strategies="RO", iterations=4),
     "serve/caching-chunked-memaware": _serve(
         "caching", "chunked", "memory-aware"),
     "serve/gmlake-chunked-fcfs": _serve(

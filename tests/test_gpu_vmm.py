@@ -35,7 +35,7 @@ class TestReserve:
     def test_address_free_requires_no_mappings(self, vmm):
         va = vmm.mem_address_reserve(2 * MB)
         handle = vmm.mem_create(2 * MB)
-        vmm.mem_map(va, 0, handle)
+        vmm.mem_map(va, 0, [handle])
         with pytest.raises(CudaInvalidValueError):
             vmm.mem_address_free(va)
 
@@ -67,43 +67,59 @@ class TestMap:
         va = vmm.mem_address_reserve(4 * MB)
         h1 = vmm.mem_create(2 * MB)
         h2 = vmm.mem_create(2 * MB)
-        vmm.mem_map(va, 0, h1)
-        vmm.mem_map(va, 2 * MB, h2)
+        vmm.mem_map(va, 0, [h1])
+        vmm.mem_map(va, 2 * MB, [h2])
         assert vmm.is_fully_mapped(va, 4 * MB)
 
     def test_map_beyond_reservation_rejected(self, vmm):
         va = vmm.mem_address_reserve(2 * MB)
         handle = vmm.mem_create(2 * MB)
         with pytest.raises(CudaInvalidAddressError):
-            vmm.mem_map(va, 2 * MB, handle)
+            vmm.mem_map(va, 2 * MB, [handle])
 
     def test_overlapping_map_rejected(self, vmm):
         va = vmm.mem_address_reserve(4 * MB)
         h1 = vmm.mem_create(2 * MB)
         h2 = vmm.mem_create(2 * MB)
-        vmm.mem_map(va, 0, h1)
+        vmm.mem_map(va, 0, [h1])
         with pytest.raises(CudaInvalidValueError):
-            vmm.mem_map(va, 0, h2)
+            vmm.mem_map(va, 0, [h2])
 
     def test_map_to_unreserved_va_rejected(self, vmm):
         handle = vmm.mem_create(2 * MB)
         with pytest.raises(CudaInvalidAddressError):
-            vmm.mem_map(0xBEEF, 0, handle)
+            vmm.mem_map(0xBEEF, 0, [handle])
 
     def test_same_chunk_mappable_at_multiple_vas(self, vmm):
         """The aliasing property GMLake's stitching relies on."""
         handle = vmm.mem_create(2 * MB)
         va1 = vmm.mem_address_reserve(2 * MB)
         va2 = vmm.mem_address_reserve(2 * MB)
-        vmm.mem_map(va1, 0, handle)
-        vmm.mem_map(va2, 0, handle)
+        vmm.mem_map(va1, 0, [handle])
+        vmm.mem_map(va2, 0, [handle])
         assert vmm.is_fully_mapped(va1, 2 * MB)
         assert vmm.is_fully_mapped(va2, 2 * MB)
+
+    def test_released_handle_cannot_be_mapped(self, vmm, device):
+        """cuMemMap rejects a handle after cuMemRelease, even while
+        another mapping keeps the chunk's memory alive."""
+        handle = vmm.mem_create(2 * MB)
+        va1 = vmm.mem_address_reserve(2 * MB)
+        va2 = vmm.mem_address_reserve(2 * MB)
+        vmm.mem_map(va1, 0, [handle])
+        vmm.mem_release(handle)
+        with pytest.raises(CudaInvalidValueError):
+            vmm.mem_map(va2, 0, [handle])
+        assert vmm.counters.map_calls == 1
+        assert vmm.mappings_at(va2) == []
+        assert device.phys.get(handle).refcount == 1
+        vmm.mem_unmap(va1, 0, 2 * MB)
+        assert device.used_memory == 0
 
     def test_mappings_at_reports_layout(self, vmm):
         va = vmm.mem_address_reserve(4 * MB)
         h1 = vmm.mem_create(2 * MB)
-        vmm.mem_map(va, 2 * MB, h1)
+        vmm.mem_map(va, 2 * MB, [h1])
         assert vmm.mappings_at(va) == [(2 * MB, 2 * MB, h1)]
 
 
@@ -111,13 +127,13 @@ class TestSetAccess:
     def test_set_access_over_mapped_range(self, vmm):
         va = vmm.mem_address_reserve(4 * MB)
         for offset in (0, 2 * MB):
-            vmm.mem_map(va, offset, vmm.mem_create(2 * MB))
+            vmm.mem_map(va, offset, [vmm.mem_create(2 * MB)])
         vmm.mem_set_access(va, 0, 4 * MB)
         assert vmm.counters.set_access_calls == 2  # one per chunk
 
     def test_set_access_over_hole_rejected(self, vmm):
         va = vmm.mem_address_reserve(4 * MB)
-        vmm.mem_map(va, 0, vmm.mem_create(2 * MB))
+        vmm.mem_map(va, 0, [vmm.mem_create(2 * MB)])
         with pytest.raises(CudaInvalidAddressError):
             vmm.mem_set_access(va, 0, 4 * MB)
 
@@ -130,7 +146,7 @@ class TestUnmapRelease:
     def test_unmap_releases_physical_after_release(self, vmm, device):
         va = vmm.mem_address_reserve(2 * MB)
         handle = vmm.mem_create(2 * MB)
-        vmm.mem_map(va, 0, handle)
+        vmm.mem_map(va, 0, [handle])
         vmm.mem_release(handle)  # mapping still holds the chunk
         assert device.used_memory == 2 * MB
         vmm.mem_unmap(va, 0, 2 * MB)
@@ -140,7 +156,7 @@ class TestUnmapRelease:
         """Either teardown order frees the chunk exactly once."""
         va = vmm.mem_address_reserve(2 * MB)
         handle = vmm.mem_create(2 * MB)
-        vmm.mem_map(va, 0, handle)
+        vmm.mem_map(va, 0, [handle])
         vmm.mem_unmap(va, 0, 2 * MB)
         assert device.used_memory == 2 * MB  # creation ref remains
         vmm.mem_release(handle)
@@ -155,8 +171,8 @@ class TestUnmapRelease:
         handle = vmm.mem_create(2 * MB)
         va1 = vmm.mem_address_reserve(2 * MB)
         va2 = vmm.mem_address_reserve(2 * MB)
-        vmm.mem_map(va1, 0, handle)
-        vmm.mem_map(va2, 0, handle)
+        vmm.mem_map(va1, 0, [handle])
+        vmm.mem_map(va2, 0, [handle])
         vmm.mem_release(handle)
         vmm.mem_unmap(va1, 0, 2 * MB)
         assert device.used_memory == 2 * MB
@@ -169,7 +185,7 @@ class TestUnmapRelease:
         for offset in range(0, 8 * MB, 2 * MB):
             handle = vmm.mem_create(2 * MB)
             handles.append(handle)
-            vmm.mem_map(va, offset, handle)
+            vmm.mem_map(va, offset, [handle])
         vmm.mem_set_access(va, 0, 8 * MB)
         vmm.mem_unmap(va, 0, 8 * MB)
         for handle in handles:
